@@ -27,7 +27,6 @@ __all__ = [
     "AsymptoticValue",
     "theorem_rhs",
     "net_loss_window_shift",
-    "uniformity_scan",
 ]
 
 
@@ -132,38 +131,3 @@ def net_loss_window_shift(box: Box2, premium_rates: tuple[float, float], r: floa
         shift1, shift2, scale = c1 * disc, c2 * disc, math.exp(-r * t)
     return replace(box, x1=box.x1 + shift1, x2=box.x2 + shift2, d1=box.d1 * scale, d2=box.d2 * scale)
 
-
-def uniformity_scan(config, t_grid, x_grid, d: float, tilted_triplet, n_paths: int, threads: int = 1):
-    """Rows of (t, x, asymptotic, empirical, se, ratio) over a (t, x) grid.
-
-    For each level x in x_grid the box is the square (x, x+d]^2; the
-    caller judges whether max-over-t deviation of the ratio from 1
-    shrinks along x_grid.  Simulation reuses one path budget per (t, x).
-    """
-    from .simulate import simulate_discounted_claims  # local to avoid a cycle
-
-    tilted_1, tilted_2, tilted_joint = tilted_triplet
-    rows = []
-    for x in x_grid:
-        box = Box2(x, x, d, d)
-        for t in t_grid:
-            asym = theorem_rhs(config.f1, config.f2, box, config.r, t, tilted_1, tilted_2, tilted_joint)
-            est = simulate_discounted_claims(config, t, box, n_paths=n_paths, threads=threads)
-            ratio = est.value / asym.total if asym.total > 0 else math.nan
-            rows.append(
-                {
-                    "t": t,
-                    "x1": box.x1,
-                    "x2": box.x2,
-                    "d1": box.d1,
-                    "d2": box.d2,
-                    "r": config.r,
-                    "asymptotic_total": asym.total,
-                    "cross_term": asym.cross_term,
-                    "diagonal_term": asym.diagonal_term,
-                    "empirical": est.value,
-                    "empirical_se": est.std_error,
-                    "ratio": ratio,
-                }
-            )
-    return rows

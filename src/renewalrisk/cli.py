@@ -21,11 +21,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
-from .asymptotics import Box2, theorem_rhs, uniformity_scan
+from .asymptotics import Box2, theorem_rhs
 from .copulas import (
     DependenceSpec,
     FrankTri,
@@ -41,10 +42,12 @@ from .marginals import Deterministic, Exponential, Marginal, Pareto, Weibull
 from .renewal import renewal_function, tilted_measure
 from .simulate import (
     CompoundPoisson,
+    Estimate,
     Linear,
     ModelConfig,
     lemma33_check,
-    simulate_discounted_claims,
+    simulate_grid,
+    uniformity_scan,
 )
 
 __all__ = ["main", "parse_config", "ConfigError"]
@@ -71,6 +74,22 @@ def _num(doc: dict, key: str, path: str, required: bool = True, default=None):
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
     return float(val)
+
+
+def _int(doc: dict, key: str, path: str, default: int, lo: int, hi: int | None = None) -> int:
+    """Optional integer field in [lo, hi); a float such as 1e6 is truncated to an int.
+
+    JSON integers are kept exact, so seeds near 2**64 do not round.
+    """
+    val = _get(doc, key, path, required=False, default=default)
+    if (not isinstance(val, (int, float)) or isinstance(val, bool)
+            or (isinstance(val, float) and not math.isfinite(val))):
+        raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
+    val = int(val)
+    if val < lo or (hi is not None and val >= hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ConfigError(f"{path}.{key}: must be {bound}, got {val}")
+    return val
 
 
 def parse_marginal(doc, path: str) -> Marginal:
@@ -149,6 +168,29 @@ EXPERIMENTS = (
 )
 
 
+#: experiments scored on boxes: one `box`, or squares of side grids.d at grids.x_grid
+BOX_EXPERIMENTS = ("simulate", "asymptotic", "compare", "lemma33")
+
+
+def _boxes(doc: dict, grids: dict) -> list:
+    if doc.get("box") is not None:
+        b = doc["box"]
+        path = "config.box"
+        if not isinstance(b, dict):
+            raise ConfigError(f"{path}: expected an object with x1, x2, d1, d2")
+        levels = [[_num(b, k, path) for k in ("x1", "x2", "d1", "d2")]]
+    elif "x_grid" in grids:
+        path = "config.grids"
+        d = _num(grids, "d", path, required=False, default=1.0)
+        levels = [[x, x, d, d] for x in grids["x_grid"]]
+    else:
+        raise ConfigError("config: need either box or grids.x_grid")
+    try:
+        return [Box2(*v) for v in levels]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def parse_config(doc: dict) -> dict:
     """Validate the JSON document into a plain dict of typed pieces."""
     if not isinstance(doc, dict):
@@ -165,13 +207,14 @@ def parse_config(doc: dict) -> dict:
         if not isinstance(prem_doc, list) or len(prem_doc) != 2:
             raise ConfigError("config.model.premiums: expected a list of exactly two premium objects")
         premiums = tuple(parse_premium(p, f"config.model.premiums[{i}]") for i, p in enumerate(prem_doc))
+    seed = _int(model_doc, "seed", "config.model", default=0, lo=0, hi=2**64)
     try:
         model = ModelConfig(
             dependence=dep,
             t_max=_num(model_doc, "t_max", "config.model"),
             r=_num(model_doc, "r", "config.model", required=False, default=0.0),
             premiums=premiums,
-            seed=int(_num(model_doc, "seed", "config.model", required=False, default=0)),
+            seed=seed,
             batch_size=int(_num(model_doc, "batch_size", "config.model", required=False, default=2_000_000)),
         )
     except ValueError as exc:
@@ -196,12 +239,13 @@ def parse_config(doc: dict) -> dict:
         "model": model,
         "experiment": experiment,
         "grids": grids,
-        "box": doc.get("box"),
-        "n": doc.get("n", 2),
-        "n_paths": int(_num(doc, "n_paths", "config", required=False, default=1_000_000)),
-        "n_boxes": int(_num(doc, "n_boxes", "config", required=False, default=100_000)),
+        "boxes": _boxes(doc, grids) if experiment in BOX_EXPERIMENTS else None,
+        "n": _int(doc, "n", "config", default=2, lo=1, hi=4) if experiment == "lemma33" else None,
+        "n_paths": _int(doc, "n_paths", "config", default=1_000_000, lo=1),
+        "n_boxes": _int(doc, "n_boxes", "config", default=100_000, lo=1),
         "renewal_step": _num(doc, "renewal_step", "config", required=False, default=model.t_max / 2000),
-        "counterexample_n_max": int(_num(doc, "counterexample_n_max", "config", required=False, default=N_MAX_LIMIT)),
+        "counterexample_n_max": _int(doc, "counterexample_n_max", "config", default=N_MAX_LIMIT,
+                                     lo=1, hi=N_MAX_LIMIT + 1),
         "output_path": doc.get("output_path", "-"),
     }
 
@@ -224,18 +268,6 @@ def _write_csv(path: str, header, rows):
     finally:
         if out is not sys.stdout:
             out.close()
-
-
-def _square_boxes(cfg):
-    grids = cfg["grids"]
-    if cfg["box"] is not None:
-        b = cfg["box"]
-        return [Box2(_num(b, "x1", "config.box"), _num(b, "x2", "config.box"),
-                     _num(b, "d1", "config.box"), _num(b, "d2", "config.box"))]
-    if "x_grid" not in grids:
-        raise ConfigError("config: need either box or grids.x_grid")
-    d = _num(grids, "d", "config.grids", required=False, default=1.0)
-    return [Box2(x, x, d, d) for x in grids["x_grid"]]
 
 
 def _tilted_triplet(cfg):
@@ -319,11 +351,11 @@ def run(cfg: dict, threads: int = 1) -> None:
     if experiment == "lemma33":
         if "t_grid" not in grids:
             raise ConfigError("config.grids: lemma33 needs t_grid")
-        boxes = _square_boxes(cfg)
+        boxes = cfg["boxes"]
         rows = []
         for t in grids["t_grid"]:
-            for box in boxes:
-                lhs, rhs, ratio = lemma33_check(model, cfg["n"], t, box, cfg["n_paths"], threads=threads)
+            results = lemma33_check(model, cfg["n"], t, boxes, cfg["n_paths"], threads=threads)
+            for box, (lhs, rhs, ratio) in zip(boxes, results):
                 rows.append([t, box.x1, box.x2, box.d1, box.d2, cfg["n"],
                              lhs.value, lhs.std_error, lhs.hits,
                              rhs.value, rhs.std_error, rhs.hits, ratio])
@@ -334,12 +366,13 @@ def run(cfg: dict, threads: int = 1) -> None:
     # the remaining experiments share the (t, x) scan schema
     if "t_grid" not in grids:
         raise ConfigError(f"config.grids: {experiment} needs t_grid")
-    boxes = _square_boxes(cfg)
+    boxes = cfg["boxes"]
     rows = []
     if experiment == "simulate":
-        for box in boxes:
-            for t in grids["t_grid"]:
-                est = simulate_discounted_claims(model, t, box, cfg["n_paths"], threads=threads)
+        hits = simulate_grid(model, grids["t_grid"], boxes, cfg["n_paths"], threads=threads)
+        for j, box in enumerate(boxes):
+            for i, t in enumerate(grids["t_grid"]):
+                est = Estimate.from_hits(int(hits[i, j]), cfg["n_paths"])
                 rows.append([t, box.x1, box.x2, box.d1, box.d2, model.r,
                              None, None, None, est.value, est.std_error, None])
     elif experiment == "asymptotic":
@@ -351,9 +384,7 @@ def run(cfg: dict, threads: int = 1) -> None:
                              val.total, val.cross_term, val.diagonal_term, None, None, None])
     else:  # compare
         _, triplet = _tilted_triplet(cfg)
-        x_grid = [b.x1 for b in boxes]
-        d = boxes[0].d1
-        scan = uniformity_scan(model, grids["t_grid"], x_grid, d, triplet, cfg["n_paths"], threads=threads)
+        scan = uniformity_scan(model, grids["t_grid"], boxes, triplet, cfg["n_paths"], threads=threads)
         rows = [[rrow[c] for c in SCHEMA] for rrow in scan]
     _write_csv(out, SCHEMA, rows)
 

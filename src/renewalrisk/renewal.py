@@ -32,8 +32,9 @@ __all__ = [
     "step_halving_error",
 ]
 
-#: hard cap on arrivals per path; hitting it means G puts mass
-#: absurdly close to zero for the requested horizon
+#: hard cap on arrivals per path within the horizon, shared by every
+#: arrival loop; exceeding it means G puts mass absurdly close to zero
+#: for the requested horizon
 MAX_ARRIVALS = 1_000_000
 
 
@@ -167,14 +168,14 @@ def _sample_counts(g: Marginal, t_values: np.ndarray, t_max: float, n_paths: int
     counts = np.zeros((n_paths, len(t_values)), dtype=np.int64)
     clock = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)
-    for _ in range(MAX_ARRIVALS):
+    for _ in range(MAX_ARRIVALS + 1):
         idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            return counts
         clock[idx] += g.sample(rng, idx.size)
         arrived = clock[idx] <= t_max
         counts[idx] += clock[idx, None] <= t_values[None, :]
         alive[idx] = arrived
+        if not arrived.any():
+            return counts
     raise RuntimeError(f"a path exceeded {MAX_ARRIVALS} arrivals; check G")
 
 

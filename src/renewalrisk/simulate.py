@@ -5,6 +5,14 @@ the renewal clock passes the horizon, accumulating the discounted claim
 pair; estimators are plain hit counters with binomial confidence
 intervals (Clopper-Pearson at low counts).
 
+Every estimator runs on one streaming kernel, `_stream_paths`.  It keeps
+only the state of the paths still alive and passes each path's state to
+the estimator's scoring function once for every run of grid times its
+clock moves past, so a whole (t, box) grid is scored in a single pass
+over the paths.  The cells of one run therefore share common random
+numbers (their estimates are correlated, never biased), and memory does
+not grow with the grid.
+
 Reproducibility: the path budget is cut into fixed-size batches and each
 batch owns a counter-based Philox stream keyed by (seed, batch index,
 stream id).  Batch results land in preallocated slots and merge by
@@ -21,9 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .asymptotics import Box2, net_loss_window_shift
+from .asymptotics import Box2, net_loss_window_shift, theorem_rhs
 from .copulas import DependenceSpec
 from .marginals import Marginal
+from .renewal import MAX_ARRIVALS
 
 __all__ = [
     "Linear",
@@ -36,10 +45,9 @@ __all__ = [
     "simulate_net_loss",
     "stratified_estimate",
     "lemma33_check",
+    "uniformity_scan",
 ]
 
-#: arrivals cap per path; reaching it means G is misconfigured
-MAX_ARRIVALS = 1_000_000
 #: stream ids separating the independent substreams of one batch
 _CLAIM_STREAM, _PREMIUM_STREAM = 0, 1
 
@@ -87,9 +95,7 @@ class CompoundPoisson:
         times = rng.random(total) * t
         jumps = self.jump_dist.quantile(rng.random(total))
         vals = jumps * np.exp(-r * times)
-        out = np.zeros(n)
-        np.add.at(out, np.repeat(np.arange(n), counts), vals)
-        return out
+        return np.bincount(np.repeat(np.arange(n), counts), weights=vals, minlength=n)
 
 
 @dataclass(frozen=True)
@@ -135,17 +141,18 @@ class Estimate:
     n: int
     unreliable: bool
 
-
-def _make_estimate(hits: int, n: int) -> Estimate:
-    p = hits / n
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    if hits < 100:
-        # exact binomial interval; the normal one is useless down here
-        lo = 0.0 if hits == 0 else float(beta_dist.ppf(0.025, hits, n - hits + 1))
-        hi = 1.0 if hits == n else float(beta_dist.ppf(0.975, hits + 1, n - hits))
-    else:
-        lo, hi = p - 1.96 * se, p + 1.96 * se
-    return Estimate(value=p, std_error=se, ci95=(lo, hi), hits=int(hits), n=int(n), unreliable=hits < 30)
+    @classmethod
+    def from_hits(cls, hits: int, n: int) -> Estimate:
+        """Plain MC estimate of a probability from `hits` successes in `n` paths."""
+        p = hits / n
+        se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
+        if hits < 100:
+            # exact binomial interval; the normal one is useless down here
+            lo = 0.0 if hits == 0 else float(beta_dist.ppf(0.025, hits, n - hits + 1))
+            hi = 1.0 if hits == n else float(beta_dist.ppf(0.975, hits + 1, n - hits))
+        else:
+            lo, hi = p - 1.96 * se, p + 1.96 * se
+        return cls(value=p, std_error=se, ci95=(lo, hi), hits=int(hits), n=int(n), unreliable=hits < 30)
 
 
 def _batch_rng(config: ModelConfig, batch_index: int, stream: int):
@@ -181,39 +188,63 @@ def _run_batches(worker, n_paths: int, batch_size: int, threads: int):
     return slots
 
 
-def _accumulate_paths(config: ModelConfig, rng, n: int, t_grid: np.ndarray):
-    """Discounted claim pair and arrival counts per path at each grid time.
+def _stream_paths(config: ModelConfig, rng, n: int, t_grid: np.ndarray, score,
+                  counts: bool = False, claims: int = 0, carry=None) -> None:
+    """Run n paths to the horizon t_grid[-1], scoring their states as clocks pass grid times.
 
-    Returns (d1, d2, counts) of shapes (n, m), (n, m), (n, m) where
-    column i holds the state at t_grid[i]; arrival times are bucketed by
-    the first grid time they do not exceed, then prefix-summed.
+    Each round draws one triple per alive path and moves its clock to the
+    next arrival; an arrival at time s counts at every grid time >= s.
+    Paths whose clocks just passed grid times t_grid[g..b-1] held one
+    state at all of them, so they are scored once, by
+    ``score(g, b, state)`` with g and b arrays over those paths:
+    ``state`` maps "d1", "d2" (discounted claim sums) to arrays over the
+    same paths, plus "count" (arrivals so far) if ``counts``, "v1" and
+    "v2" (the first ``claims`` discounted claims, zero-padded, shape
+    (paths, claims)) if ``claims``, and the entries of ``carry`` (per-path
+    arrays given in batch order).  Every path is scored up to its last
+    grid time, ending with b = len(t_grid).
+
+    Alive paths stay in batch order, compacted with boolean masks, so the
+    draws depend on the batch alone.  ``score`` must not modify or keep
+    the arrays it is given.
     """
-    m = len(t_grid)
     t_top = float(t_grid[-1])
-    acc1 = np.zeros((n, m))
-    acc2 = np.zeros((n, m))
-    counts = np.zeros((n, m), dtype=np.int64)
     clock = np.zeros(n)
-    alive_idx = np.arange(n)
-    for _ in range(MAX_ARRIVALS):
-        if alive_idx.size == 0:
-            break
-        x1, x2, theta = config.dependence.sample_triple(rng, alive_idx.size)
-        clock[alive_idx] += theta
-        sigma = clock[alive_idx]
-        arrived = sigma <= t_top
-        rows = alive_idx[arrived]
-        if rows.size:
-            sig = sigma[arrived]
-            bucket = np.searchsorted(t_grid, sig, side="left")
-            disc = np.exp(-config.r * sig) if config.r > 0 else 1.0
-            acc1[rows, bucket] += np.asarray(x1)[arrived] * disc
-            acc2[rows, bucket] += np.asarray(x2)[arrived] * disc
-            counts[rows, bucket] += 1
-        alive_idx = rows
-    else:
-        raise RuntimeError(f"a path exceeded {MAX_ARRIVALS} arrivals; check G")
-    return np.cumsum(acc1, axis=1), np.cumsum(acc2, axis=1), np.cumsum(counts, axis=1)
+    first = np.zeros(n, dtype=np.intp)  # first grid time not yet passed
+    state = {"d1": np.zeros(n), "d2": np.zeros(n), **(carry or {})}
+    if counts:
+        state["count"] = np.zeros(n, dtype=np.int64)
+    if claims:
+        state["v1"], state["v2"] = np.zeros((n, claims)), np.zeros((n, claims))
+    for round_no in range(MAX_ARRIVALS + 1):
+        x1, x2, theta = config.dependence.sample_triple(rng, clock.size)
+        clock += theta
+        del theta  # not held through the next round's draw
+        stop = np.searchsorted(t_grid, clock, side="left")
+        passed = stop > first
+        if passed.all():
+            score(first, stop, state)
+        elif passed.any():
+            score(first[passed], stop[passed], {k: v[passed] for k, v in state.items()})
+        alive = clock <= t_top
+        if not alive.all():
+            clock, stop = clock[alive], stop[alive]
+            x1, x2 = np.asarray(x1)[alive], np.asarray(x2)[alive]
+            for k, v in state.items():
+                state[k] = v[alive]
+            if clock.size == 0:
+                return
+        first = stop
+        disc = np.exp(-config.r * clock) if config.r > 0 else 1.0
+        y1, y2 = x1 * disc, x2 * disc
+        state["d1"] += y1
+        state["d2"] += y2
+        if counts:
+            state["count"] += 1
+        if round_no < claims:
+            state["v1"][:, round_no] = y1
+            state["v2"][:, round_no] = y2
+    raise RuntimeError(f"a path exceeded {MAX_ARRIVALS} arrivals; check G")
 
 
 def _in_box(d1, d2, box: Box2):
@@ -225,26 +256,36 @@ def _in_box(d1, d2, box: Box2):
 def simulate_grid(config: ModelConfig, t_grid, boxes, n_paths: int, threads: int = 1):
     """Hit counts for every (t, box) cell from one shared path budget.
 
-    Returns an integer array of shape (len(t_grid), len(boxes)); each
-    cell's estimate uses all n_paths paths (common random numbers across
-    cells, which only correlates the estimates, never biases them).
+    Returns an integer array of shape (len(t_grid), len(boxes)), rows in
+    the order of ``t_grid``; each cell's estimate uses all n_paths paths
+    (common random numbers across cells, which only correlates the
+    estimates, never biases them).  Each batch is one pass of the paths:
+    a path's state is scored once per box for every run of grid times
+    it holds, into a difference array over the grid that one cumsum
+    turns into counts.
     """
-    t_grid = np.asarray(sorted(t_grid), dtype=float)
-    if t_grid[0] <= 0 or t_grid[-1] > config.t_max + 1e-12:
+    times = np.asarray(t_grid, dtype=float)
+    grid = np.unique(times)
+    if grid[0] <= 0 or grid[-1] > config.t_max + 1e-12:
         raise ValueError("t_grid must lie in (0, t_max]")
     boxes = list(boxes)
+    m = len(grid)
 
     def worker(batch_index: int, batch_n: int):
         rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
-        d1, d2, _ = _accumulate_paths(config, rng, batch_n, t_grid)
-        hits = np.zeros((len(t_grid), len(boxes)), dtype=np.int64)
-        for i in range(len(t_grid)):
-            for j, box in enumerate(boxes):
-                hits[i, j] = int(np.count_nonzero(_in_box(d1[:, i], d2[:, i], box)))
-        return hits
+        diff = np.zeros((len(boxes), m + 1), dtype=np.int64)
 
-    slots = _run_batches(worker, n_paths, config.batch_size, threads)
-    return np.sum(slots, axis=0)
+        def score(first, stop, state):
+            for j, box in enumerate(boxes):
+                hit = _in_box(state["d1"], state["d2"], box)
+                diff[j] += np.bincount(first[hit], minlength=m + 1)
+                diff[j] -= np.bincount(stop[hit], minlength=m + 1)
+
+        _stream_paths(config, rng, batch_n, grid, score)
+        return np.cumsum(diff[:, :m], axis=1).T
+
+    hits = np.sum(_run_batches(worker, n_paths, config.batch_size, threads), axis=0)
+    return hits[np.searchsorted(grid, times)]
 
 
 def simulate_discounted_claims(
@@ -252,7 +293,41 @@ def simulate_discounted_claims(
 ) -> Estimate:
     """P(discounted claim pair at t lands in the box), plain MC."""
     hits = simulate_grid(config, [t], [box], n_paths, threads=threads)
-    return _make_estimate(int(hits[0, 0]), n_paths)
+    return Estimate.from_hits(int(hits[0, 0]), n_paths)
+
+
+def uniformity_scan(config, t_grid, boxes, tilted_triplet, n_paths: int, threads: int = 1):
+    """Rows of (t, box, asymptotic, empirical, se, ratio) over a (t, box) grid.
+
+    With boxes the squares (x, x+d]^2 along growing levels x, the caller
+    judges whether max-over-t deviation of the ratio from 1 shrinks
+    along x.  One simulate_grid pass serves every cell.
+    """
+    tilted_1, tilted_2, tilted_joint = tilted_triplet
+    hits = simulate_grid(config, t_grid, boxes, n_paths, threads=threads)
+    rows = []
+    for j, box in enumerate(boxes):
+        for i, t in enumerate(t_grid):
+            asym = theorem_rhs(config.f1, config.f2, box, config.r, t, tilted_1, tilted_2, tilted_joint)
+            est = Estimate.from_hits(int(hits[i, j]), n_paths)
+            ratio = est.value / asym.total if asym.total > 0 else math.nan
+            rows.append(
+                {
+                    "t": t,
+                    "x1": box.x1,
+                    "x2": box.x2,
+                    "d1": box.d1,
+                    "d2": box.d2,
+                    "r": config.r,
+                    "asymptotic_total": asym.total,
+                    "cross_term": asym.cross_term,
+                    "diagonal_term": asym.diagonal_term,
+                    "empirical": est.value,
+                    "empirical_se": est.std_error,
+                    "ratio": ratio,
+                }
+            )
+    return rows
 
 
 def simulate_net_loss(
@@ -270,16 +345,22 @@ def simulate_net_loss(
     coincides path-by-path with the premium-shifted box event.
     """
     box = Box2(x_levels[0], x_levels[1], widths[0], widths[1])
+    target = net_loss_window_shift(box, (0.0, 0.0), config.r, t)
 
     def worker(batch_index: int, batch_n: int):
         rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
-        d1, d2, _ = _accumulate_paths(config, rng, batch_n, np.array([t]))
         s1, s2 = _premium_values(config, batch_index, batch_n, t)
-        target = net_loss_window_shift(box, (0.0, 0.0), config.r, t)
-        return int(np.count_nonzero(_in_box(d1[:, 0] - s1, d2[:, 0] - s2, target)))
+        carry = {"s1": np.broadcast_to(s1, batch_n), "s2": np.broadcast_to(s2, batch_n)}
+        hits = np.zeros(1, dtype=np.int64)
+
+        def score(first, stop, state):
+            hits[0] += np.count_nonzero(_in_box(state["d1"] - state["s1"], state["d2"] - state["s2"], target))
+
+        _stream_paths(config, rng, batch_n, np.array([t]), score, carry=carry)
+        return int(hits[0])
 
     slots = _run_batches(worker, n_paths, config.batch_size, threads)
-    return _make_estimate(int(np.sum(slots)), n_paths)
+    return Estimate.from_hits(int(np.sum(slots)), n_paths)
 
 
 def _premium_values(config: ModelConfig, batch_index: int, batch_n: int, t: float):
@@ -320,12 +401,16 @@ def stratified_estimate(
 
     def worker(batch_index: int, batch_n: int):
         rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
-        d1, d2, counts = _accumulate_paths(config, rng, batch_n, np.array([t]))
-        strata = np.minimum(counts[:, 0], n_cap + 1)
-        hit = _in_box(d1[:, 0], d2[:, 0], box)
-        c = np.bincount(strata, minlength=n_cap + 2)
-        h = np.bincount(strata[hit], minlength=n_cap + 2)
-        return np.stack([c, h])
+        tally = np.zeros((2, n_cap + 2), dtype=np.int64)
+
+        def score(first, stop, state):
+            strata = np.minimum(state["count"], n_cap + 1)
+            hit = _in_box(state["d1"], state["d2"], box)
+            tally[0] += np.bincount(strata, minlength=n_cap + 2)
+            tally[1] += np.bincount(strata[hit], minlength=n_cap + 2)
+
+        _stream_paths(config, rng, batch_n, np.array([t]), score, counts=True)
+        return tally
 
     tallies = np.sum(_run_batches(worker, n_paths, config.batch_size, threads), axis=0)
     counts, hits = tallies[0], tallies[1]
@@ -337,7 +422,7 @@ def stratified_estimate(
             p = h / c
             var += (c / n_paths) ** 2 * p * (1.0 - p) / c
     se = math.sqrt(var)
-    base = _make_estimate(total_hits, n_paths)
+    base = Estimate.from_hits(total_hits, n_paths)
     combined = Estimate(
         value=value,
         std_error=se,
@@ -350,7 +435,7 @@ def stratified_estimate(
 
 
 def lemma33_check(
-    config: ModelConfig, n: int, t: float, box: Box2, n_paths: int, threads: int = 1
+    config: ModelConfig, n: int, t: float, box, n_paths: int, threads: int = 1
 ):
     """Compare the n-arrival box event against the sum-of-pairs expectation.
 
@@ -359,57 +444,54 @@ def lemma33_check(
     1{claim-1 value k in window 1} 1{claim-2 value j in window 2};
     N(t) = n].  The single-big-jump principle makes the ratio tend to 1
     as the box levels grow.
+
+    Returns (lhs, rhs, ratio) for one Box2.  ``box`` may also be a
+    sequence of boxes, scored on one shared pass of the paths; the
+    result is then a list of such triples, one per box, each equal to
+    what a call with that box alone returns.
     """
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
+    boxes = [box] if isinstance(box, Box2) else list(box)
 
     def worker(batch_index: int, batch_n: int):
         rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
-        v1 = np.zeros((batch_n, n))
-        v2 = np.zeros((batch_n, n))
-        clock = np.zeros(batch_n)
-        arrivals = np.zeros(batch_n, dtype=np.int64)
-        alive_idx = np.arange(batch_n)
-        round_no = 0
-        while alive_idx.size:
-            x1, x2, theta = config.dependence.sample_triple(rng, alive_idx.size)
-            clock[alive_idx] += theta
-            sigma = clock[alive_idx]
-            arrived = sigma <= t
-            rows = alive_idx[arrived]
-            if rows.size:
-                disc = np.exp(-config.r * sigma[arrived])
-                if round_no < n:
-                    v1[rows, round_no] = np.asarray(x1)[arrived] * disc
-                    v2[rows, round_no] = np.asarray(x2)[arrived] * disc
-                arrivals[rows] += 1
-            alive_idx = rows
-            round_no += 1
-            if round_no > MAX_ARRIVALS:
-                raise RuntimeError("path exceeded the arrival cap; check G")
-        exact_n = arrivals == n
-        s1, s2 = v1.sum(axis=1), v2.sum(axis=1)
-        lhs_hits = int(np.count_nonzero(exact_n & _in_box(s1, s2, box)))
-        in1 = (v1 > box.x1) & (v1 <= box.x1 + box.d1)
-        in2 = (v2 > box.x2) & (v2 <= box.x2 + box.d2)
-        pair_count = in1.sum(axis=1) * in2.sum(axis=1)
-        pair_count[~exact_n] = 0
-        rhs_sum = int(pair_count.sum())
-        rhs_pos = int(np.count_nonzero(pair_count))
-        rhs_sq = int(np.dot(pair_count, pair_count))
-        return np.array([lhs_hits, rhs_sum, rhs_pos, rhs_sq], dtype=np.int64)
+        # per box: lhs hits, rhs sum, rhs positive paths, rhs sum of squares
+        tally = np.zeros((len(boxes), 4), dtype=np.int64)
 
-    lhs_hits, rhs_sum, rhs_pos, rhs_sq = np.sum(
-        _run_batches(worker, n_paths, config.batch_size, threads), axis=0
-    )
-    lhs = _make_estimate(int(lhs_hits), n_paths)
-    mean = int(rhs_sum) / n_paths
+        def score(first, stop, state):
+            exact_n = state["count"] == n
+            s1, s2 = state["d1"][exact_n], state["d2"][exact_n]
+            v1, v2 = state["v1"][exact_n], state["v2"][exact_n]
+            for j, b in enumerate(boxes):
+                in1 = ((v1 > b.x1) & (v1 <= b.x1 + b.d1)).sum(axis=1)
+                in2 = ((v2 > b.x2) & (v2 <= b.x2 + b.d2)).sum(axis=1)
+                pair_count = in1 * in2
+                tally[j] += (
+                    np.count_nonzero(_in_box(s1, s2, b)),
+                    pair_count.sum(),
+                    np.count_nonzero(pair_count),
+                    np.dot(pair_count, pair_count),
+                )
+
+        _stream_paths(config, rng, batch_n, np.array([t]), score, counts=True, claims=n)
+        return tally
+
+    tallies = np.sum(_run_batches(worker, n_paths, config.batch_size, threads), axis=0)
+    results = [_lemma33_result(row, n_paths) for row in tallies]
+    return results[0] if isinstance(box, Box2) else results
+
+
+def _lemma33_result(tally, n_paths: int):
+    lhs_hits, rhs_sum, rhs_pos, rhs_sq = (int(v) for v in tally)
+    lhs = Estimate.from_hits(lhs_hits, n_paths)
+    mean = rhs_sum / n_paths
     var = max(rhs_sq / n_paths - mean**2, 0.0)
     rhs = Estimate(
         value=mean,
         std_error=math.sqrt(var / n_paths),
         ci95=(mean - 1.96 * math.sqrt(var / n_paths), mean + 1.96 * math.sqrt(var / n_paths)),
-        hits=int(rhs_pos),
+        hits=rhs_pos,
         n=n_paths,
         unreliable=rhs_pos < 30,
     )

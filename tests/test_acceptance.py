@@ -167,7 +167,7 @@ def test_criterion_5_counterexample():
         f"(tol 1e-12), tail {dens.tail_bound:.1e} (<2^-110), witnesses {witness_ok}, "
         f"|conv ratio-1| over n=2,3,4 = {conv[0]:.4g},{conv[1]:.4g},{conv[2]:.4g} "
         f"strictly decreasing: {conv_234_decreasing} (known red: the asymptotic "
-        f"regime activates only for n>=4; see supplementary test), "
+        f"regime activates only for n>=3; see supplementary test), "
         f"middle part -> 0: {mid_to_zero}",
     )
 

@@ -209,3 +209,51 @@ def test_positional_experiment_overrides(tmp_path):
     assert res.returncode == 0
     rows = read_csv(out)
     assert rows[1][rows[0].index("asymptotic_total")] == ""  # simulate leaves it blank
+
+
+@pytest.mark.parametrize(
+    "experiment, change, path",
+    [
+        ("lemma33", {"n": 4}, "config.n"),
+        ("simulate", {"n_paths": 0}, "config.n_paths"),
+        ("simulate", {"box": {"x1": 5.0, "x2": 5.0, "d1": 0.0, "d2": 5.0}}, "config.box"),
+        ("simulate", {"seed": -1}, "config.model.seed"),
+        ("simulate", {"seed": 2**64}, "config.model.seed"),
+        ("copula-check", {"n_boxes": 0}, "config.n_boxes"),
+        ("counterexample", {"counterexample_n_max": 9}, "config.counterexample_n_max"),
+    ],
+    ids=["lemma33-n", "n-paths-zero", "box-width", "seed-negative", "seed-too-large",
+         "n-boxes-zero", "counterexample-n-max"],
+)
+def test_config_contract_exit_2(tmp_path, experiment, change, path):
+    doc = make_doc(experiment)
+    if "seed" in change:
+        doc["model"]["seed"] = change["seed"]
+    else:
+        doc.update(change)
+    res = run_cli(tmp_path, doc)
+    assert res.returncode == 2, res.stderr
+    assert path in res.stderr
+
+
+def test_largest_seed_accepted(tmp_path):
+    doc = make_doc("simulate", n_paths=1000)
+    doc["model"]["seed"] = 2**64 - 1
+    res = run_cli(tmp_path, doc)
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize(
+    "box", [None, {"x1": 5.0, "x2": 8.0, "d1": 5.0, "d2": 2.0}], ids=["x-grid", "box"]
+)
+def test_simulate_and_compare_share_empirical(tmp_path, box):
+    cols = []
+    for experiment in ("simulate", "compare"):
+        out = tmp_path / f"{experiment}.csv"
+        res = run_cli(tmp_path, make_doc(experiment, output_path=str(out), box=box))
+        assert res.returncode == 0, res.stderr
+        rows = read_csv(out)
+        hdr = rows[0]
+        keep = ("t", "x1", "x2", "d1", "d2", "empirical", "empirical_se")
+        cols.append([[r[hdr.index(k)] for k in keep] for r in rows[1:]])
+    assert cols[0] == cols[1]

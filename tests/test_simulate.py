@@ -6,6 +6,7 @@ import pytest
 from renewalrisk.asymptotics import Box2
 from renewalrisk.copulas import FrankTri, Independent
 from renewalrisk.marginals import Deterministic, Exponential, Pareto
+from renewalrisk import simulate
 from renewalrisk.simulate import (
     CompoundPoisson,
     Linear,
@@ -188,3 +189,115 @@ def test_estimate_fields():
     assert est.ci95[0] <= est.value <= est.ci95[1]
     if est.hits < 30:
         assert est.unreliable
+
+
+# -- naive reference: per-path (n, m) accumulators, bucketed then prefix-summed
+
+
+def _naive_paths(config, rng, n, t_grid):
+    """Discounted claim pair per path at each grid time, shapes (n, m)."""
+    m = len(t_grid)
+    acc1, acc2 = np.zeros((n, m)), np.zeros((n, m))
+    clock = np.zeros(n)
+    alive_idx = np.arange(n)
+    while alive_idx.size:
+        x1, x2, theta = config.dependence.sample_triple(rng, alive_idx.size)
+        clock[alive_idx] += theta
+        sigma = clock[alive_idx]
+        arrived = sigma <= t_grid[-1]
+        rows = alive_idx[arrived]
+        sig = sigma[arrived]
+        bucket = np.searchsorted(t_grid, sig, side="left")
+        disc = np.exp(-config.r * sig) if config.r > 0 else 1.0
+        acc1[rows, bucket] += np.asarray(x1)[arrived] * disc
+        acc2[rows, bucket] += np.asarray(x2)[arrived] * disc
+        alive_idx = rows
+    return np.cumsum(acc1, axis=1), np.cumsum(acc2, axis=1)
+
+
+def _naive_grid_hits(config, t_grid, boxes, n_paths):
+    t_grid = np.asarray(t_grid, dtype=float)
+    hits = np.zeros((len(t_grid), len(boxes)), dtype=np.int64)
+    for i, batch_n in enumerate(simulate._batch_plan(n_paths, config.batch_size)):
+        rng = simulate._batch_rng(config, i, simulate._CLAIM_STREAM)
+        d1, d2 = _naive_paths(config, rng, batch_n, t_grid)
+        for j, box in enumerate(boxes):
+            hits[:, j] += simulate._in_box(d1, d2, box).sum(axis=0)
+    return hits
+
+
+GRID = [0.5, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize(
+    "dep, r, boxes",
+    [
+        (FrankTri(P1, P1, E1, 1.0), 0.05,
+         [Box2(2.0, 2.0, 5.0, 5.0), Box2(5.0, 5.0, 10.0, 10.0), Box2(0.0, 0.0, 1.0, 1e6)]),
+        # arrivals land exactly on grid times: pins "an arrival at s counts at t >= s"
+        (Independent(P1, P1, Deterministic(0.5)), 0.0,
+         [Box2(1.0, 1.0, 5.0, 5.0), Box2(3.0, 3.0, 20.0, 20.0), Box2(0.0, 0.0, 1e15, 1e15)]),
+    ],
+    ids=["frank-discounted", "deterministic-on-grid"],
+)
+def test_grid_matches_naive_reference(dep, r, boxes):
+    cfg = make_config(dep=dep, r=r, batch=30_000)
+    want = _naive_grid_hits(cfg, GRID, boxes, 70_000)
+    assert want.min() > 100  # every cell is exercised
+    np.testing.assert_array_equal(simulate_grid(cfg, GRID, boxes, 70_000), want)
+
+
+def test_grid_rows_follow_caller_order():
+    cfg = make_config()
+    boxes = [Box2(2.0, 2.0, 5.0, 5.0)]
+    ordered = simulate_grid(cfg, [0.5, 1.0, 2.0], boxes, 50_000)
+    shuffled = simulate_grid(cfg, [2.0, 0.5, 1.0, 0.5], boxes, 50_000)
+    np.testing.assert_array_equal(shuffled, ordered[[2, 0, 1, 0]])
+
+
+def test_net_loss_compound_poisson_matches_reference():
+    # stochastic premiums must stay paired with their own path
+    cfg = ModelConfig(
+        dependence=FrankTri(P1, P1, E1, 1.0), t_max=2.0, r=0.05,
+        premiums=(CompoundPoisson(2.0, Exponential(0.5)), Linear(1.0)),
+        seed=3, batch_size=40_000,
+    )
+    t, x, widths = 1.5, (5.0, 5.0), (10.0, 10.0)
+    target = Box2(x[0], x[1], *widths)
+    target = Box2(target.x1, target.x2, widths[0] * math.exp(-0.05 * t), widths[1] * math.exp(-0.05 * t))
+    want = 0
+    for i, batch_n in enumerate(simulate._batch_plan(100_000, cfg.batch_size)):
+        rng = simulate._batch_rng(cfg, i, simulate._CLAIM_STREAM)
+        d1, d2 = _naive_paths(cfg, rng, batch_n, np.array([t]))
+        s1, s2 = simulate._premium_values(cfg, i, batch_n, t)
+        want += int(np.count_nonzero(simulate._in_box(d1[:, 0] - s1, d2[:, 0] - s2, target)))
+    assert want > 100
+    assert simulate_net_loss(cfg, x, t, widths, 100_000).hits == want
+
+
+def test_lemma33_boxes_share_one_pass():
+    cfg = make_config(dep=FrankTri(P1, P1, E1, 1.0), r=0.05, batch=60_000)
+    boxes = [Box2(2.0, 2.0, 5.0, 5.0), Box2(5.0, 5.0, 10.0, 10.0)]
+    joint = lemma33_check(cfg, 2, 1.5, boxes, 150_000)
+    alone = [lemma33_check(cfg, 2, 1.5, b, 150_000) for b in boxes]
+    assert joint == alone
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cfg: simulate_grid(cfg, [1.0, 2.0], [Box2(1.0, 1.0, 1.0, 1.0)], 100),
+        lambda cfg: stratified_estimate(cfg, 2.0, Box2(1.0, 1.0, 1.0, 1.0), 3, 100),
+        lambda cfg: lemma33_check(cfg, 2, 2.0, Box2(1.0, 1.0, 1.0, 1.0), 100),
+        lambda cfg: simulate_net_loss(cfg, (1.0, 1.0), 2.0, (1.0, 1.0), 100),
+    ],
+    ids=["grid", "stratified", "lemma33", "net-loss"],
+)
+def test_arrival_cap_is_uniform(monkeypatch, run):
+    # arrivals at 0.25, 0.5, ..., 2.0: eight inside the horizon
+    cfg = make_config(dep=Independent(P1, P1, Deterministic(0.25)))
+    monkeypatch.setattr(simulate, "MAX_ARRIVALS", 8)
+    run(cfg)
+    monkeypatch.setattr(simulate, "MAX_ARRIVALS", 7)
+    with pytest.raises(RuntimeError, match="arrivals"):
+        run(cfg)
