@@ -27,7 +27,7 @@ def main() -> int:
         "fgm (0.3,-0.2,0.4)": SarmanovFGM(pareto, pareto, expo, 0.3, -0.2, 0.4),
     }
     s_grid = np.linspace(0.0, 2.0, 50)
-    x_grid = [10.0, 100.0, 1000.0, 10000.0]
+    x_grid = [10.0, 100.0, 1000.0, 10000.0, 1e6, 1e8]
     print(f"{'copula':<20} cond  " + "  ".join(f"x={x:<8g}" for x in x_grid))
     for name, spec in specs.items():
         for condition in (1, 2, 3):

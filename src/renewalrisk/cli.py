@@ -234,6 +234,9 @@ def parse_config(doc: dict) -> dict:
                 raise ConfigError(f"config.grids.{name}: expected a nonempty list of numbers")
     if "t_grid" in grids and any(t <= 0 or t > model.t_max for t in grids["t_grid"]):
         raise ConfigError(f"config.grids.t_grid: values must lie in (0, t_max={model.t_max}]")
+    renewal_step = _num(doc, "renewal_step", "config", required=False, default=model.t_max / 2000)
+    if not 0 < renewal_step <= model.t_max / 10:
+        raise ConfigError(f"config.renewal_step: must lie in (0, t_max/10={model.t_max / 10}], got {renewal_step}")
 
     return {
         "model": model,
@@ -243,7 +246,7 @@ def parse_config(doc: dict) -> dict:
         "n": _int(doc, "n", "config", default=2, lo=1, hi=4) if experiment == "lemma33" else None,
         "n_paths": _int(doc, "n_paths", "config", default=1_000_000, lo=1),
         "n_boxes": _int(doc, "n_boxes", "config", default=100_000, lo=1),
-        "renewal_step": _num(doc, "renewal_step", "config", required=False, default=model.t_max / 2000),
+        "renewal_step": renewal_step,
         "counterexample_n_max": _int(doc, "counterexample_n_max", "config", default=N_MAX_LIMIT,
                                      lo=1, hi=N_MAX_LIMIT + 1),
         "output_path": doc.get("output_path", "-"),

@@ -7,7 +7,8 @@ inside a bivariate Frank copula.  Each variant carries
 * the joint copula CDF and C-volumes,
 * exact conditional distributions (given theta; given the other claim and
   theta), obtained from closed-form copula partial derivatives,
-* an exact sampler,
+* an exact sampler, closed-form except for the acceptance-rejection of
+  the FGM variant (the two Frank variants share their generator algebra),
 * the closed-form dependence weights h_i(s), g(s), g_ij(z, s) describing
   the large-claim limits of those conditionals, and grid estimates of
   their horizon bounds.
@@ -100,12 +101,7 @@ class DependenceSpec:
         (u1, u2), (v1, v2), (w1, w2) = box
         if not (0 <= u1 <= u2 <= 1 and 0 <= v1 <= v2 <= 1 and 0 <= w1 <= w2 <= 1):
             raise ValueError("box corners must be ordered and lie in [0,1]")
-        total = 0.0
-        for u, su in ((u2, 1), (u1, -1)):
-            for v, sv in ((v2, 1), (v1, -1)):
-                for w, sw in ((w2, 1), (w1, -1)):
-                    total += su * sv * sw * self.copula_cdf(u, v, w)
-        return float(total)
+        return float(self.c_volumes(np.array([[u1, v1, w1]]), np.array([[u2, v2, w2]]))[0])
 
     def c_volumes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Vectorized C-volumes for boxes given by (n,3) corner arrays."""
@@ -161,10 +157,6 @@ class DependenceSpec:
         w = self.g_dist.cdf(s)
         v = fj.cdf(z)
         return self.cond_cdf_given_vw(i, u_hi, v, w) - self.cond_cdf_given_vw(i, u_lo, v, w)
-
-
-def _win_hi(dist: Marginal, win: LocalWindow):
-    return 1.0 if math.isinf(win.d) else dist.cdf(win.x + win.d)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +335,8 @@ def _lam(gamma, t):
 
 
 @dataclass(frozen=True)
-class FrankTri(DependenceSpec):
-    """Exchangeable tri-dimensional Frank copula, gamma > 0."""
+class _Frank(DependenceSpec):
+    """Frank algebra shared by both Frank variants: lam(t) = expm1(-gamma t), alpha = lam(1)."""
 
     f1: Marginal
     f2: Marginal
@@ -358,6 +350,42 @@ class FrankTri(DependenceSpec):
     @property
     def _alpha(self):
         return math.expm1(-self.gamma)
+
+    def _dlam(self, lo, d):
+        """lam(lo + d) - lam(lo) without cancellation."""
+        return np.exp(-self.gamma * np.asarray(lo, dtype=float)) * np.expm1(-self.gamma * d)
+
+    def _w_from_quadratic(self, qa, qb, qc):
+        """w with lam(w) the root (-qb - sqrt(D)) / (2 qa) of qa lw^2 + qb lw + qc = 0.
+
+        Both samplers want that root for either sign of qb (the nested one
+        reaches qb > 0 at gamma > 1, where a sign(qb) choice picks the other
+        root); for qb <= 0 it is taken as 2 qc / (-qb + sqrt(D)), which has
+        no cancellation and stays finite at qa = 0.
+        """
+        disc = np.sqrt(qb**2 - 4 * qa * qc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.where(qb <= 0, 2 * qc / (-qb + disc), -(qb + disc) / (2 * qa))
+        return -np.log1p(root) / self.gamma
+
+    def cond_local_prob_given_theta(self, i, win, s):
+        # exact factored corner difference of dC/dw with the other claim's
+        # argument at 1, where both variants reduce to the bivariate Frank
+        a = self._alpha
+        u_lo, u_hi, du = self._window(i, win)
+        lw = _lam(self.gamma, self.g_dist.cdf(s))
+        l1, l2 = _lam(self.gamma, u_lo), _lam(self.gamma, u_hi)
+        dl = self._dlam(u_lo, du)
+        return ((1 + lw) * a * dl / ((a + l2 * lw) * (a + l1 * lw)))[()]
+
+    def h_func(self, i, s):
+        gs = self.g_dist.cdf(s)
+        return self.gamma * np.exp(self.gamma * gs) / math.expm1(self.gamma)
+
+
+@dataclass(frozen=True)
+class FrankTri(_Frank):
+    """Exchangeable tri-dimensional Frank copula, gamma > 0."""
 
     def copula_cdf(self, u, v, w):
         a = self._alpha
@@ -373,19 +401,6 @@ class FrankTri(DependenceSpec):
         a = self._alpha
         lu, lv, lw = _lam(self.gamma, u), _lam(self.gamma, v), _lam(self.gamma, w)
         return (lu * a * (a + lv * lw) ** 2 / (a**2 + lu * lv * lw) ** 2)[()]
-
-    def _dlam(self, u_lo, du):
-        """lam(u_lo + du) - lam(u_lo) without cancellation."""
-        return np.exp(-self.gamma * np.asarray(u_lo, dtype=float)) * np.expm1(-self.gamma * du)
-
-    def cond_local_prob_given_theta(self, i, win, s):
-        # exact factored corner difference of dC/dw at v = 1
-        a = self._alpha
-        u_lo, u_hi, du = self._window(i, win)
-        lw = _lam(self.gamma, self.g_dist.cdf(s))
-        l1, l2 = _lam(self.gamma, u_lo), _lam(self.gamma, u_hi)
-        dl = self._dlam(u_lo, du)
-        return ((1 + lw) * a * dl / ((a + l2 * lw) * (a + l1 * lw)))[()]
 
     def cond_joint_local_prob_given_theta(self, win1, win2, s):
         a = self._alpha
@@ -439,14 +454,7 @@ class FrankTri(DependenceSpec):
         qa = p3 * a * c**2
         qb = 2 * p3 * a**3 * c - a**2 * (a + c) ** 2
         qc = p3 * a**5
-        disc = np.sqrt(qb**2 - 4 * qa * qc)
-        root = np.where(qa == 0.0, -qc / qb, (2 * qc) / (-qb + disc))
-        w = -np.log1p(root) / self.gamma
-        return u, v, w
-
-    def h_func(self, i, s):
-        gs = self.g_dist.cdf(s)
-        return self.gamma * np.exp(self.gamma * gs) / math.expm1(self.gamma)
+        return u, v, self._w_from_quadratic(qa, qb, qc)
 
     def g_func(self, s):
         gs = self.g_dist.cdf(s)
@@ -465,7 +473,7 @@ class FrankTri(DependenceSpec):
 
 
 @dataclass(frozen=True)
-class NestedFrankProduct(DependenceSpec):
+class NestedFrankProduct(_Frank):
     """Product copula of the claim pair nested in a bivariate Frank copula.
 
     C(u, v, w) = C_gamma(u*v, w).  The joint density stays nonnegative on
@@ -474,21 +482,6 @@ class NestedFrankProduct(DependenceSpec):
     same restriction keeps the horizon bounds of g and g_ij positive.
     Construction accepts any gamma > 0 so the failure is observable.
     """
-
-    f1: Marginal
-    f2: Marginal
-    g_dist: Marginal
-    gamma: float
-
-    BISECT_ITERS = 60  # |w-interval| < 1e-12 after 60 halvings
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("Frank parameter gamma must be > 0")
-
-    @property
-    def _alpha(self):
-        return math.expm1(-self.gamma)
 
     def copula_cdf(self, u, v, w):
         a = self._alpha
@@ -510,53 +503,55 @@ class NestedFrankProduct(DependenceSpec):
         lw = _lam(self.gamma, w)
         return (u * (1 + lk) * (a + lv * lw) ** 2 / ((1 + lv) * (a + lk * lw) ** 2))[()]
 
-    def _cond_w_cdf(self, w, k):
-        """P(W <= w | U = u, V = v) with k = u*v."""
-        a = self._alpha
-        lk = _lam(self.gamma, k)
-        lw = _lam(self.gamma, w)
-        d = a + lk * lw
-        return (1 + lk) * lw * (d - self.gamma * k * (a - lw)) / d**2
-
-    def cond_local_prob_given_theta(self, i, win, s):
-        # with the other claim's argument at 1 the nesting key is just u
-        a = self._alpha
-        u_lo, u_hi, du = self._window(i, win)
-        lw = _lam(self.gamma, self.g_dist.cdf(s))
-        l1, l2 = _lam(self.gamma, u_lo), _lam(self.gamma, u_hi)
-        dl = np.exp(-self.gamma * np.asarray(u_lo, dtype=float)) * np.expm1(-self.gamma * du)
-        return ((1 + lw) * a * dl / ((a + l2 * lw) * (a + l1 * lw)))[()]
-
-    def _dw_strip(self, u_lo, du, v, lw):
-        """dC/dw over the u-strip (u_lo, u_lo+du] at fixed v, factored in du."""
-        a = self._alpha
-        k1 = np.asarray(u_lo, dtype=float) * v
-        lk1 = _lam(self.gamma, k1)
-        lk2 = _lam(self.gamma, k1 + du * v)
-        dlk = np.exp(-self.gamma * k1) * np.expm1(-self.gamma * du * v)
-        return (1 + lw) * a * dlk / ((a + lk2 * lw) * (a + lk1 * lw))
-
     def cond_joint_local_prob_given_theta(self, win1, win2, s):
-        u_lo, _, du = self._window(1, win1)
-        v_lo, v_hi, _ = self._window(2, win2)
-        lw = _lam(self.gamma, self.g_dist.cdf(s))
-        return (self._dw_strip(u_lo, du, v_hi, lw) - self._dw_strip(u_lo, du, v_lo, lw))[()]
+        # four-corner difference of dC/dw = (1 + lw) lk / D, D = a + lk lw, k = uv;
+        # each u-difference at fixed v is (1 + lw) a (lk - lk') / (D D'), and the
+        # lk differences and the mixed one, lk22 - lk21 - lk12 + lk11, are taken
+        # without cancellation, so the result is factored in du and dv
+        a, g = self._alpha, self.gamma
+        u1, _, du = self._window(1, win1)
+        v1, _, dv = self._window(2, win2)
+        lw = _lam(g, self.g_dist.cdf(s))
+        k11 = u1 * v1
+        dl_u1 = self._dlam(k11, du * v1)  # lk21 - lk11
+        dl_v1 = self._dlam(k11, u1 * dv)  # lk12 - lk11
+        dl_v2 = self._dlam(k11 + du * v1, (u1 + du) * dv)  # lk22 - lk21
+        ea, eb = np.expm1(-g * du * v1), np.expm1(-g * u1 * dv)
+        mixed = np.exp(-g * k11) * (ea * eb + (1 + ea) * (1 + eb) * np.expm1(-g * du * dv))
+        d11 = a + _lam(g, k11) * lw
+        d21, d12 = d11 + lw * dl_u1, d11 + lw * dl_v1
+        d22 = d21 + lw * dl_v2
+        num = mixed * d21 * d11 - dl_u1 * lw * (dl_v2 * d11 + dl_v1 * d21 + lw * dl_v1 * dl_v2)
+        return ((1 + lw) * a * num / (d11 * d12 * d21 * d22))[()]
+
+    def cond_local_prob_given_other(self, i, win, z, s):
+        # u (1 + lk) / D(k)^2 differenced over the window, factored in du
+        # through D2 - D1 = lw dlk and 1 + lk2 = 1 + lk1 + dlk
+        a, g = self._alpha, self.gamma
+        fj = self.f2 if i == 1 else self.f1
+        u1, _, du = self._window(i, win)
+        v = np.asarray(fj.cdf(z), dtype=float)
+        lv, lw = _lam(g, v), _lam(g, self.g_dist.cdf(s))
+        k1 = u1 * v
+        lk1 = _lam(g, k1)
+        dlk = self._dlam(k1, du * v)
+        d1 = a + lk1 * lw
+        d2 = d1 + lw * dlk
+        num = du * (1 + lk1 + dlk) * d1**2 + u1 * dlk * (d1**2 - (1 + lk1) * lw * (d1 + d2))
+        return ((a + lv * lw) ** 2 * num / ((1 + lv) * d1**2 * d2**2))[()]
 
     def sample_uniform(self, rng, n):
+        # P(W <= w | U, V) = p is a quadratic in lw = lam(w); with k = u*v,
+        # P(W <= w | U, V) = (1 + lk) lw (d - gamma k (a - lw)) / d^2, d = a + lk lw
+        a = self._alpha
         u, v = rng.random(n), rng.random(n)
         k = u * v
         p = rng.random(n)
-        lo, hi = np.zeros(n), np.ones(n)
-        for _ in range(self.BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            below = self._cond_w_cdf(mid, k) < p
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return u, v, 0.5 * (lo + hi)
-
-    def h_func(self, i, s):
-        gs = self.g_dist.cdf(s)
-        return self.gamma * np.exp(self.gamma * gs) / math.expm1(self.gamma)
+        lk, gk = _lam(self.gamma, k), self.gamma * k
+        qa = (1 + lk) * (lk + gk) - p * lk**2
+        qb = a * ((1 + lk) * (1 - gk) - 2 * p * lk)
+        qc = -p * a**2
+        return u, v, self._w_from_quadratic(qa, qb, qc)
 
     def g_func(self, s):
         # corner density of the claim pair given theta: with k = uv and

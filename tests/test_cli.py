@@ -221,9 +221,11 @@ def test_positional_experiment_overrides(tmp_path):
         ("simulate", {"seed": 2**64}, "config.model.seed"),
         ("copula-check", {"n_boxes": 0}, "config.n_boxes"),
         ("counterexample", {"counterexample_n_max": 9}, "config.counterexample_n_max"),
+        ("asymptotic", {"renewal_step": 0.0}, "config.renewal_step"),
+        ("asymptotic", {"renewal_step": 0.25}, "config.renewal_step"),
     ],
     ids=["lemma33-n", "n-paths-zero", "box-width", "seed-negative", "seed-too-large",
-         "n-boxes-zero", "counterexample-n-max"],
+         "n-boxes-zero", "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large"],
 )
 def test_config_contract_exit_2(tmp_path, experiment, change, path):
     doc = make_doc(experiment)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,6 +176,65 @@ def test_condition_scans_converge(spec, condition):
     dev = condition_ratio_scan(spec, 1, s_grid, x_grid, 1.0, condition=condition)
     assert np.all(np.diff(dev) < 0), dev
     assert dev[-1] <= 0.02, dev
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+@pytest.mark.parametrize("condition", [2, 3])
+def test_nested_condition_scans_converge_deep_in_the_tail(gamma, condition):
+    # the window probabilities must stay accurate where the corner values
+    # F(x) and F(x+d) agree to ~1e-16; g(0) = 0 at gamma = 1, so s starts
+    # above 0 to keep the relative deviation defined
+    spec = NestedFrankProduct(P1, P1, E1, gamma)
+    s_grid = np.linspace(0.2, 2.0, 10)
+    x_grid = [10.0, 1e2, 1e3, 1e4, 1e6, 1e8]
+    dev = condition_ratio_scan(spec, 1, s_grid, x_grid, 1.0, condition=condition)
+    assert np.all(np.diff(dev) < 0), dev
+    assert dev[-1] <= 1e-6, dev
+
+
+def _nested_bisection_sample(spec, rng, n):
+    """Reference sampler: bisection on P(W <= w | U, V) = p, same draw order."""
+    g = spec.gamma
+    a = math.expm1(-g)
+    u, v = rng.random(n), rng.random(n)
+    k = u * v
+    p = rng.random(n)
+    lk = np.expm1(-g * k)
+
+    def cdf(w):
+        lw = np.expm1(-g * w)
+        d = a + lk * lw
+        return (1 + lk) * lw * (d - g * k * (a - lw)) / d**2
+
+    lo, hi = np.zeros(n), np.ones(n)
+    for _ in range(60):  # |w-interval| < 1e-12 after 60 halvings
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < p
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return u, v, 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0, 2.0, 5.0])
+def test_nested_sampler_matches_bisection(gamma):
+    spec = NestedFrankProduct(P1, P1, E1, gamma)
+    u, v, w = spec.sample_uniform(np.random.default_rng(11), 100_000)
+    ru, rv, rw = _nested_bisection_sample(spec, np.random.default_rng(11), 100_000)
+    np.testing.assert_array_equal(u, ru)
+    np.testing.assert_array_equal(v, rv)
+    assert np.max(np.abs(w - rw)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0, 2.0, 5.0])
+def test_nested_sampler_at_k_zero_is_bivariate_frank(gamma):
+    # at u = 0 the claim product k vanishes and W given (U, V) follows the
+    # bivariate Frank conditional, inverted by w = -log1p(p a) / gamma
+    p = np.linspace(0.001, 0.999, 999)
+    draws = [np.zeros(p.size), np.linspace(0.0, 1.0, p.size), p]
+    fake_rng = SimpleNamespace(random=lambda n: draws.pop(0))
+    u, v, w = NestedFrankProduct(P1, P1, E1, gamma).sample_uniform(fake_rng, p.size)
+    expected = -np.log1p(p * math.expm1(-gamma)) / gamma
+    np.testing.assert_allclose(w, expected, rtol=1e-14, atol=0)
 
 
 def test_independent_weights_are_unit():
