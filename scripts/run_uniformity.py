@@ -13,12 +13,10 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from renewalrisk.asymptotics import Box2, theorem_rhs
 from renewalrisk.copulas import FrankTri
 from renewalrisk.marginals import Exponential, Pareto
-from renewalrisk.renewal import renewal_function, tilted_measure
+from renewalrisk.renewal import renewal_function, tilted_triplet
 from renewalrisk.simulate import ModelConfig, simulate_grid
 
 
@@ -40,9 +38,7 @@ def main() -> int:
     boxes = [Box2(x, x, d, d) for x in x_grid]
 
     grid = renewal_function(expo, config.t_max, 1e-3)
-    t1 = tilted_measure(grid, lambda u: np.asarray(dep.h_func(1, u)) * np.ones_like(u))
-    t2 = tilted_measure(grid, lambda u: np.asarray(dep.h_func(2, u)) * np.ones_like(u))
-    tj = tilted_measure(grid, lambda u: np.asarray(dep.g_func(u)) * np.ones_like(u))
+    t1, t2, tj = tilted_triplet(grid, dep)
 
     hits = simulate_grid(config, t_grid, boxes, args.paths, threads=args.threads)
 

@@ -39,7 +39,7 @@ from .copulas import (
 )
 from .counterexample import N_MAX_LIMIT, CounterexampleDensity, CounterexampleF
 from .marginals import Deterministic, Exponential, Marginal, Pareto, Weibull
-from .renewal import renewal_function, tilted_measure
+from .renewal import renewal_function, tilted_triplet
 from .simulate import (
     CompoundPoisson,
     Estimate,
@@ -273,14 +273,10 @@ def _write_csv(path: str, header, rows):
             out.close()
 
 
-def _tilted_triplet(cfg):
+def _solve_and_tilt(cfg):
     model = cfg["model"]
     grid = renewal_function(model.g_dist, model.t_max, cfg["renewal_step"])
-    dep = model.dependence
-    t1 = tilted_measure(grid, lambda u: np.asarray(dep.h_func(1, u)) * np.ones_like(u), kind="h1")
-    t2 = tilted_measure(grid, lambda u: np.asarray(dep.h_func(2, u)) * np.ones_like(u), kind="h2")
-    tj = tilted_measure(grid, lambda u: np.asarray(dep.g_func(u)) * np.ones_like(u), kind="g")
-    return grid, (t1, t2, tj)
+    return grid, tilted_triplet(grid, model.dependence)
 
 
 SCHEMA = ["t", "x1", "x2", "d1", "d2", "r", "asymptotic_total", "cross_term",
@@ -294,7 +290,7 @@ def run(cfg: dict, threads: int = 1) -> None:
     grids = cfg["grids"]
 
     if experiment == "renewal":
-        grid, (t1, t2, tj) = _tilted_triplet(cfg)
+        grid, (t1, t2, tj) = _solve_and_tilt(cfg)
         rows = zip(grid.times, grid.lambda_values, t1.values, t2.values, tj.values)
         _write_csv(out, ["t", "lambda", "tilted_h1", "tilted_h2", "tilted_g"],
                    ([float(a), float(b), float(c), float(d), float(e)] for a, b, c, d, e in rows))
@@ -379,14 +375,14 @@ def run(cfg: dict, threads: int = 1) -> None:
                 rows.append([t, box.x1, box.x2, box.d1, box.d2, model.r,
                              None, None, None, est.value, est.std_error, None])
     elif experiment == "asymptotic":
-        _, (t1, t2, tj) = _tilted_triplet(cfg)
+        _, (t1, t2, tj) = _solve_and_tilt(cfg)
         for box in boxes:
             for t in grids["t_grid"]:
                 val = theorem_rhs(model.f1, model.f2, box, model.r, t, t1, t2, tj)
                 rows.append([t, box.x1, box.x2, box.d1, box.d2, model.r,
                              val.total, val.cross_term, val.diagonal_term, None, None, None])
     else:  # compare
-        _, triplet = _tilted_triplet(cfg)
+        _, triplet = _solve_and_tilt(cfg)
         scan = uniformity_scan(model, grids["t_grid"], boxes, triplet, cfg["n_paths"], threads=threads)
         rows = [[rrow[c] for c in SCHEMA] for rrow in scan]
     _write_csv(out, SCHEMA, rows)

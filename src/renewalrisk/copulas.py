@@ -38,6 +38,8 @@ __all__ = [
     "mean_h_check",
 ]
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -113,8 +115,15 @@ class DependenceSpec:
         return total
 
     def sample_triple(self, rng, n: int):
-        """n exact draws of (X1, X2, theta)."""
+        """n exact draws of (X1, X2, theta).
+
+        A sampler can round a uniform up to 1 (chance ~1e-16 per draw),
+        where the quantiles are undefined; such values are clipped to
+        the largest double below 1, and no value below 1 is touched.
+        """
         u, v, w = self.sample_uniform(rng, n)
+        for p in (u, v, w):
+            np.minimum(p, _BELOW_ONE, out=p)
         return self.f1.quantile(u), self.f2.quantile(v), self.g_dist.quantile(w)
 
     def _window(self, i: int, win: LocalWindow):

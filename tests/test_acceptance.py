@@ -27,7 +27,7 @@ from renewalrisk.copulas import (
 )
 from renewalrisk.counterexample import CounterexampleDensity, m_index
 from renewalrisk.marginals import Exponential, Pareto, local_prob
-from renewalrisk.renewal import renewal_function, tilted_measure
+from renewalrisk.renewal import renewal_function, tilted_measure, tilted_triplet
 from renewalrisk.simulate import (
     Linear,
     ModelConfig,
@@ -250,10 +250,7 @@ def test_criterion_7_main_theorem_trend():
     x_grid = [10.0, 20.0, 40.0]
     boxes = [Box2(x, x, 5.0, 5.0) for x in x_grid]
 
-    grid = renewal_function(EXP1, 2.0, 1e-3)
-    t1 = tilted_measure(grid, lambda u: np.asarray(dep.h_func(1, u)) * np.ones_like(u))
-    t2 = tilted_measure(grid, lambda u: np.asarray(dep.h_func(2, u)) * np.ones_like(u))
-    tj = tilted_measure(grid, lambda u: np.asarray(dep.g_func(u)) * np.ones_like(u))
+    t1, t2, tj = tilted_triplet(renewal_function(EXP1, 2.0, 1e-3), dep)
 
     hits = simulate_grid(config, t_grid, boxes, 100_000_000, threads=THREADS)
     max_dev = []

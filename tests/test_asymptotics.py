@@ -9,8 +9,9 @@ from renewalrisk.asymptotics import (
     net_loss_window_shift,
     theorem_rhs,
 )
-from renewalrisk.marginals import Exponential, LocalWindow, Pareto, local_prob
-from renewalrisk.renewal import renewal_function, tilted_measure
+from renewalrisk.copulas import FrankTri
+from renewalrisk.marginals import Exponential, LocalWindow, Pareto, local_prob, scaled_local_prob
+from renewalrisk.renewal import renewal_function, tilted_measure, tilted_triplet
 
 
 def poisson_tilted(t_max=3.0, h=1e-3):
@@ -18,6 +19,24 @@ def poisson_tilted(t_max=3.0, h=1e-3):
     unit = lambda u: np.ones_like(u)
     tm = tilted_measure(grid, unit, kind="unit")
     return tm, tm, tm
+
+
+def _direct_theorem_rhs(f1, f2, box, r, t, tilted_1, tilted_2, tilted_joint):
+    """Reference evaluator: the same cells summed by direct convolution, O(K^2)."""
+    h = tilted_1.grid.step
+    k_t = round(t / h)
+    inc1, inc2, incj = (tm.increments[1 : k_t + 1] for tm in (tilted_1, tilted_2, tilted_joint))
+    mids = h * (np.arange(1, k_t + 1) - 0.5)
+    p1_mid = scaled_local_prob(f1, box.window1, r, mids)
+    p2_mid = scaled_local_prob(f2, box.window2, r, mids)
+    s_cap = min(int(t / h + 1 + 1e-9), 2 * k_t)
+    tau = h * np.arange(1, s_cap)
+    conv_a = np.convolve(inc1, p2_mid * inc2)[: s_cap - 1]
+    conv_b = np.convolve(p1_mid * inc1, inc2)[: s_cap - 1]
+    cross = float(np.dot(scaled_local_prob(f1, box.window1, r, tau), conv_a)
+                  + np.dot(scaled_local_prob(f2, box.window2, r, tau), conv_b))
+    diagonal = float(np.dot(p1_mid * p2_mid, incj))
+    return AsymptoticValue(cross + diagonal, cross, diagonal)
 
 
 def test_box_validation():
@@ -116,3 +135,17 @@ def test_net_loss_shift_discounted():
 def test_net_loss_shift_validation():
     with pytest.raises(ValueError):
         net_loss_window_shift(Box2(1, 1, 1, 1), (-1.0, 0.0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [10.0, 40.0])
+def test_theorem_rhs_matches_direct_convolution(x):
+    f1, f2 = Pareto(1.0), Pareto(2.0)
+    grid = renewal_function(Exponential(1.0), 2.0, 1e-3)
+    tms = tilted_triplet(grid, FrankTri(f1, f2, Exponential(1.0), 1.0))
+    box = Box2(x, x, 5.0, 5.0)
+    for t in (0.5, 1.0, 1.5, 2.0):
+        val = theorem_rhs(f1, f2, box, 0.05, t, *tms)
+        ref = _direct_theorem_rhs(f1, f2, box, 0.05, t, *tms)
+        for got, want in zip((val.total, val.cross_term, val.diagonal_term),
+                             (ref.total, ref.cross_term, ref.diagonal_term)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)

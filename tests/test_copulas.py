@@ -237,6 +237,18 @@ def test_nested_sampler_at_k_zero_is_bivariate_frank(gamma):
     np.testing.assert_allclose(w, expected, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_sample_triple_clips_uniforms_at_one(spec, monkeypatch):
+    # a sampler may round a uniform up to 1 or just above it; the quantiles
+    # then get the largest double below 1, and values below 1 pass unchanged
+    below = np.array([0.5, np.nextafter(1.0, 0.0)])
+    draws = lambda: np.array([1.0, 1.0 + 2**-52, *below])
+    monkeypatch.setattr(type(spec), "sample_uniform", lambda self, rng, n: (draws(), draws(), draws()))
+    for x, dist in zip(spec.sample_triple(None, 4), (spec.f1, spec.f2, spec.g_dist)):
+        assert np.all(np.isfinite(x))
+        np.testing.assert_array_equal(x, dist.quantile(np.array([below[1], below[1], *below])))
+
+
 def test_independent_weights_are_unit():
     spec = Independent(P1, P2, E1)
     s = np.linspace(0, 5, 7)
