@@ -52,7 +52,7 @@ def main() -> int:
             asym = theorem_rhs(pareto, pareto, box, config.r, t, t1, t2, tj).total
             ratio = emp / asym
             worst[box.x1] = max(worst[box.x1], abs(ratio - 1.0))
-            writer.writerow([t, box.x1, repr(emp), repr(asym), repr(ratio)])
+            writer.writerow([t, box.x1, float(emp), float(asym), float(ratio)])
     if out is not sys.stdout:
         out.close()
     for x in x_grid:

@@ -9,8 +9,10 @@ decrease, while shift-insensitivity and the self-convolution ratio
 I(x) / 2 f(x) -> 1 still hold in the limit.
 
 Everything here is exact up to floating rounding: the CDF is the closed
-piecewise-quadratic integral of the density, and the self-convolution is
-integrated segment by segment with a rule that is exact for quadratics.
+piecewise-quadratic integral of the density, the quantile is its
+closed-form inverse (one quadratic root per draw, so the law can drive
+Monte Carlo), and the self-convolution is integrated segment by segment
+with a rule that is exact for quadratics.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .marginals import Marginal
 
@@ -230,20 +231,22 @@ class CounterexampleF(Marginal):
         return np.where(x >= self._density.x_max, 1.0, np.where(x < 0, 0.0, out))[()]
 
     def quantile(self, p):
+        """Closed-form inverse of the piecewise-quadratic CDF.
+
+        On the segment holding raw mass r = p * norm - cum beyond its left
+        node, 0.5 s d^2 + f0 d = r is solved by the cancellation-free root
+        d = 2r / (f0 + sqrt(f0^2 + 2 s r)), capped at the right node.
+        """
         p = self._check_p(p)
-
-        def one(pi: float) -> float:
-            top = self._density.cdf(self._density.x_max)
-            if pi >= top:
-                return self._density.x_max
-            return bisect(
-                lambda x: self._density.cdf(x) - pi,
-                0.0,
-                self._density.x_max,
-                xtol=1e-12,
-                maxiter=300,
-            )
-
-        if p.ndim == 0:
-            return one(float(p))
-        return np.array([one(pi) for pi in p.ravel()]).reshape(p.shape)
+        dens = self._density
+        nodes, f0, cum = dens.table.nodes, dens.table.f0, dens._cum
+        mass = p * dens.norm
+        idx = np.clip(np.searchsorted(cum, mass, side="right") - 1, 0, len(cum) - 2)
+        left, f_left = nodes[idx], f0[idx]
+        slope = (f0[idx + 1] - f_left) / (nodes[idx + 1] - left)
+        r = mass - cum[idx]
+        # lanes with p >= cdf(x_max) overshoot the last segment; np.where sets them to x_max
+        disc = np.maximum(f_left * f_left + 2.0 * slope * r, 0.0)
+        d = 2.0 * r / (f_left + np.sqrt(disc))
+        x = np.minimum(left + d, nodes[idx + 1])
+        return np.where(p >= dens.cdf(dens.x_max), dens.x_max, x)[()]

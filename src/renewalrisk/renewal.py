@@ -1,4 +1,4 @@
-"""Renewal function, its support, tilted renewal measures, and N(T) moments.
+"""Renewal function, its support, and tilted renewal measures.
 
 The renewal function lambda(t) = E N(t) solves
 lambda = G + lambda * G.  It is discretised on a uniform grid with
@@ -19,7 +19,6 @@ grid of K nodes costs O(K log K).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +30,11 @@ __all__ = [
     "TiltedMeasure",
     "SupportInfo",
     "renewal_function",
-    "renewal_function_mc",
     "lambda_support",
     "tilted_measure",
     "tilted_triplet",
-    "exp_moment_N",
     "step_halving_error",
 ]
-
-#: hard cap on arrivals per path within the horizon, shared by every
-#: arrival loop; exceeding it means G puts mass absurdly close to zero
-#: for the requested horizon
-MAX_ARRIVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -220,51 +212,6 @@ def lambda_support(g: Marginal) -> SupportInfo:
     t_lower = float(np.asarray(g.quantile(0.0)))
     closed = float(np.asarray(g.cdf(t_lower))) > 0.0
     return SupportInfo(t_lower=t_lower, closed=closed)
-
-
-def _sample_counts(g: Marginal, t_values: np.ndarray, t_max: float, n_paths: int, rng) -> np.ndarray:
-    """N(t) for each path at each requested time, vectorized over paths."""
-    counts = np.zeros((n_paths, len(t_values)), dtype=np.int64)
-    clock = np.zeros(n_paths)
-    alive = np.ones(n_paths, dtype=bool)
-    for _ in range(MAX_ARRIVALS + 1):
-        idx = np.flatnonzero(alive)
-        clock[idx] += g.sample(rng, idx.size)
-        arrived = clock[idx] <= t_max
-        counts[idx] += clock[idx, None] <= t_values[None, :]
-        alive[idx] = arrived
-        if not arrived.any():
-            return counts
-    raise RuntimeError(f"a path exceeded {MAX_ARRIVALS} arrivals; check G")
-
-
-def renewal_function_mc(g: Marginal, t_values, n_paths: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Plain MC estimate of lambda at ``t_values`` with standard errors."""
-    if n_paths < 10_000:
-        raise ValueError("n_paths must be at least 1e4 for a usable oracle")
-    t_values = np.asarray(t_values, dtype=float)
-    counts = _sample_counts(g, t_values, float(t_values.max()), n_paths, rng)
-    est = counts.mean(axis=0)
-    se = counts.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    return est, se
-
-
-def exp_moment_N(g: Marginal, beta: float, t_max: float, n_paths: int, rng):
-    """MC estimate of E exp(beta * N(T)) with a divergence heuristic.
-
-    Returns (estimate, std_error, unreliable).  The flag is raised when
-    the top 0.1% of paths contribute more than half the sample sum,
-    which is the signature of an infinite or barely-finite moment.
-    """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    counts = _sample_counts(g, np.array([t_max]), t_max, n_paths, rng)[:, 0]
-    vals = np.exp(beta * counts.astype(float))
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_paths))
-    top = np.sort(vals)[-max(1, n_paths // 1000):]
-    unreliable = float(top.sum()) > 0.5 * float(vals.sum())
-    return est, se, unreliable
 
 
 def step_halving_error(g: Marginal, t_max: float, h: float) -> float:

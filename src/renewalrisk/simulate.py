@@ -27,12 +27,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .asymptotics import Box2, net_loss_window_shift, theorem_rhs
 from .copulas import DependenceSpec
 from .marginals import Marginal
-from .renewal import MAX_ARRIVALS
 
 __all__ = [
     "Linear",
@@ -50,6 +48,10 @@ __all__ = [
 
 #: stream ids separating the independent substreams of one batch
 _CLAIM_STREAM, _PREMIUM_STREAM = 0, 1
+
+#: hard cap on arrivals per path within the horizon; exceeding it means
+#: G puts mass absurdly close to zero for the requested horizon
+MAX_ARRIVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,52 @@ class Estimate:
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
         if hits < 100:
             # exact binomial interval; the normal one is useless down here
-            lo = 0.0 if hits == 0 else float(beta_dist.ppf(0.025, hits, n - hits + 1))
-            hi = 1.0 if hits == n else float(beta_dist.ppf(0.975, hits + 1, n - hits))
+            lo, hi = _clopper_pearson(int(hits), int(n))
         else:
             lo, hi = p - 1.96 * se, p + 1.96 * se
         return cls(value=p, std_error=se, ci95=(lo, hi), hits=int(hits), n=int(n), unreliable=hits < 30)
+
+
+def _binom_cdf_root(k: int, n: int, target: float) -> float:
+    """The p in (0, 1) with P(Bin(n, p) <= k) = target, for 0 <= k < n.
+
+    The CDF falls strictly in p, so p is bisected until the bracket
+    closes to adjacent doubles.  Its k+1 terms come from the ratio
+    recurrence, starting at P(Bin(n, p) = 0) = exp(n log1p(-p)).
+    """
+    a, b = 0.0, 1.0
+    while True:
+        p = 0.5 * (a + b)
+        if not a < p < b:
+            return p
+        term = math.exp(n * math.log1p(-p))
+        odds = p / (1.0 - p)
+        cdf = term
+        for j in range(k):
+            term *= (n - j) / (j + 1) * odds
+            cdf += term
+        if cdf > target:
+            a = p
+        else:
+            b = p
+
+
+def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Exact 95% interval for a binomial p from k successes in n trials.
+
+    lo solves P(Bin(n, lo) >= k) = 0.025 and hi solves
+    P(Bin(n, hi) <= k) = 0.025 (the beta quantiles, by the binomial-beta
+    identity).  For 2k > n, hi is taken from the mirrored count,
+    1 - lo(n - k, n), which keeps the sum short and away from p -> 1.
+    """
+    lo = 0.0 if k == 0 else _binom_cdf_root(k - 1, n, 0.975)
+    if k == n:
+        hi = 1.0
+    elif 2 * k > n:
+        hi = 1.0 - _binom_cdf_root(n - k - 1, n, 0.975)
+    else:
+        hi = _binom_cdf_root(k, n, 0.025)
+    return lo, hi
 
 
 def _batch_rng(config: ModelConfig, batch_index: int, stream: int):

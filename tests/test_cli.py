@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +260,30 @@ def test_simulate_and_compare_share_empirical(tmp_path, box):
         keep = ("t", "x1", "x2", "d1", "d2", "empirical", "empirical_se")
         cols.append([[r[hdr.index(k)] for k in keep] for r in rows[1:]])
     assert cols[0] == cols[1]
+
+
+def test_runtime_import_loads_no_scipy():
+    code = (
+        "import sys, renewalrisk.cli, renewalrisk; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_simulate_with_counterexample_marginals(tmp_path):
+    # the paper's counterexample law drives Monte Carlo through its closed-form quantile
+    out = tmp_path / "out.csv"
+    cfg = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "simulate_counterexample.json"
+    res = subprocess.run(
+        [sys.executable, "-m", "renewalrisk.cli", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert res.returncode == 0, res.stderr
+    rows = read_csv(out)
+    hdr = rows[0]
+    assert len(rows) == 1 + 3 * 3
+    assert all(float(r[hdr.index("empirical")]) > 0 for r in rows[1:])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,48 @@ def test_marginal_wrapper_quantile_roundtrip():
     for p in (0.05, 0.3, 0.7, 0.95, 0.999):
         x = F.quantile(p)
         assert F.cdf(x) == pytest.approx(p, abs=1e-9)
+
+
+def _bisect_quantile(F, p):
+    """Reference quantile: bisect the CDF one probability at a time."""
+    from scipy.optimize import bisect
+
+    dens = F.density
+    top = dens.cdf(dens.x_max)
+    return np.array([
+        dens.x_max if pi >= top
+        else bisect(lambda x: dens.cdf(x) - pi, 0.0, dens.x_max, xtol=1e-12, maxiter=300)
+        for pi in p
+    ])
+
+
+@pytest.mark.parametrize("n_max", [6, 8])
+def test_closed_form_quantile_matches_bisection(n_max):
+    F = CounterexampleF(n_max=n_max)
+    p = np.concatenate([np.random.default_rng(5).random(2000), [1e-15, 1e-9]])
+    x = F.quantile(p)
+    # near p -> 1 the density is tiny and x is pinned only to ulp / f(x)
+    tol = 1e-11 + 1e-15 / F.density.pdf(x)
+    assert np.all(np.abs(x - _bisect_quantile(F, p)) <= tol)
+    assert np.max(np.abs(F.cdf(x) - p)) <= 1e-15
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_closed_form_quantile_shapes_and_ends(n_max):
+    F = CounterexampleF(n_max=n_max)
+    assert F.quantile(0.0) == 0.0
+    assert F.quantile(0.3) == F.quantile(np.array([0.3]))[0]
+    assert F.quantile(np.full((2, 3), 0.5)).shape == (2, 3)
+    x_max = F.density.x_max
+    p = 1.0 - np.array([2.0**-53, 2.0**-52, 1e-15, 1e-13])
+    with warnings.catch_warnings():
+        # for p >= cdf(x_max) the raw mass overshoots the last segment
+        warnings.simplefilter("error")
+        x = F.quantile(p)
+    assert np.all((x > 0.0) & (x <= x_max))
+    assert np.all(x[p >= F.density.cdf(x_max)] == x_max)
+    assert np.max(np.abs(F.cdf(x) - p)) <= 1e-15
+    assert np.all(np.diff(F.quantile(np.linspace(0.0, 0.999, 5001))) > 0)
 
 
 def test_marginal_wrapper_sampling():

@@ -8,14 +8,13 @@ from renewalrisk.copulas import FrankTri
 from renewalrisk.marginals import Deterministic, Exponential, Pareto, Weibull
 from renewalrisk.renewal import (
     _stieltjes_increments,
-    exp_moment_N,
     lambda_support,
     renewal_function,
-    renewal_function_mc,
     step_halving_error,
     tilted_measure,
     tilted_triplet,
 )
+from renewalrisk.simulate import MAX_ARRIVALS
 
 
 def _direct_renewal(g, t_max, h):
@@ -31,6 +30,47 @@ def _direct_renewal(g, t_max, h):
         acc = 0.5 * np.dot(c[: k - 1], lam[k - 1 : 0 : -1]) if k > 1 else 0.0
         lam[k] = (cdf[k] + acc) / pivot
     return lam
+
+
+def _sample_counts(g, t_values, t_max, n_paths, rng):
+    """Reference arrival loop: N(t) for each path at each requested time."""
+    counts = np.zeros((n_paths, len(t_values)), dtype=np.int64)
+    clock = np.zeros(n_paths)
+    alive = np.ones(n_paths, dtype=bool)
+    for _ in range(MAX_ARRIVALS + 1):
+        idx = np.flatnonzero(alive)
+        clock[idx] += g.sample(rng, idx.size)
+        arrived = clock[idx] <= t_max
+        counts[idx] += clock[idx, None] <= t_values[None, :]
+        alive[idx] = arrived
+        if not arrived.any():
+            return counts
+    raise RuntimeError(f"a path exceeded {MAX_ARRIVALS} arrivals; check G")
+
+
+def renewal_function_mc(g, t_values, n_paths, rng):
+    """Plain MC estimate of lambda at ``t_values`` with standard errors."""
+    t_values = np.asarray(t_values, dtype=float)
+    counts = _sample_counts(g, t_values, float(t_values.max()), n_paths, rng)
+    est = counts.mean(axis=0)
+    se = counts.std(axis=0, ddof=1) / math.sqrt(n_paths)
+    return est, se
+
+
+def exp_moment_N(g, beta, t_max, n_paths, rng):
+    """MC estimate of E exp(beta * N(T)) with a divergence heuristic.
+
+    Returns (estimate, std_error, unreliable).  The flag is raised when
+    the top 0.1% of paths contribute more than half the sample sum,
+    which is the signature of an infinite or barely-finite moment.
+    """
+    counts = _sample_counts(g, np.array([t_max]), t_max, n_paths, rng)[:, 0]
+    vals = np.exp(beta * counts.astype(float))
+    est = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(n_paths))
+    top = np.sort(vals)[-max(1, n_paths // 1000):]
+    unreliable = float(top.sum()) > 0.5 * float(vals.sum())
+    return est, se, unreliable
 
 
 def _direct_tilted_values(grid, weight):

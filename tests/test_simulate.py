@@ -191,6 +191,35 @@ def test_estimate_fields():
         assert est.unreliable
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 99, 100, 1000, 10**4, 10**6, 10**8])
+def test_clopper_pearson_matches_beta_quantiles(n):
+    # beta.ppf itself drifts by up to ~1e-9 in the upper bound once n >= 5e5
+    from scipy.stats import beta
+
+    rel = 1e-12 if n <= 10**4 else 1e-9
+    for k in range(min(n + 1, 100)):
+        lo, hi = simulate._clopper_pearson(k, n)
+        if k > 0:
+            assert lo == pytest.approx(beta.ppf(0.025, k, n - k + 1), rel=rel, abs=0.0), k
+        if k < n:
+            assert hi == pytest.approx(beta.ppf(0.975, k + 1, n - k), rel=rel, abs=0.0), k
+
+
+def test_clopper_pearson_edges_and_symmetry():
+    cp = simulate._clopper_pearson
+    assert cp(0, 10**6)[0] == 0.0 and cp(7, 7)[1] == 1.0
+    # n = 1: lo(1, 1) = 0.025 and hi(0, 1) = 0.975
+    assert cp(0, 1) == (0.0, pytest.approx(0.975, rel=1e-15))
+    assert cp(1, 1) == (pytest.approx(0.025, rel=1e-15), 1.0)
+    # k = n - 1 mirrors k = 1: hi(99, 100) = 1 - lo(1, 100) = 0.025^(1/100)
+    lo1, hi1 = cp(1, 100)
+    lo99, hi99 = cp(99, 100)
+    assert hi99 == 1.0 - lo1 and lo99 == pytest.approx(1.0 - hi1, rel=1e-14)
+    assert hi99 == pytest.approx(0.975 ** 0.01, rel=1e-14)
+    est = simulate.Estimate.from_hits(99, 100)
+    assert est.ci95 == (lo99, hi99)
+
+
 # -- naive reference: per-path (n, m) accumulators, bucketed then prefix-summed
 
 
