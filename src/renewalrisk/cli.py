@@ -71,8 +71,9 @@ def _num(doc: dict, key: str, path: str, required: bool = True, default=None):
     val = _get(doc, key, path, required, default)
     if val is default and not required:
         return default
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
+    if (not isinstance(val, (int, float)) or isinstance(val, bool)
+            or (isinstance(val, float) and not math.isfinite(val))):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
     return float(val)
 
 
@@ -106,8 +107,9 @@ def parse_marginal(doc, path: str) -> Marginal:
         if family == "deterministic":
             return Deterministic(_num(doc, "value", path))
         if family == "counterexample":
-            n_max = int(_num(doc, "n_max", path, required=False, default=N_MAX_LIMIT))
-            return CounterexampleF(n_max)
+            return CounterexampleF(_int(doc, "n_max", path, default=N_MAX_LIMIT, lo=1, hi=N_MAX_LIMIT + 1))
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(
@@ -208,14 +210,17 @@ def parse_config(doc: dict) -> dict:
             raise ConfigError("config.model.premiums: expected a list of exactly two premium objects")
         premiums = tuple(parse_premium(p, f"config.model.premiums[{i}]") for i, p in enumerate(prem_doc))
     seed = _int(model_doc, "seed", "config.model", default=0, lo=0, hi=2**64)
+    batch_size = _int(model_doc, "batch_size", "config.model", default=2_000_000, lo=1)
+    t_max = _num(model_doc, "t_max", "config.model")
+    r = _num(model_doc, "r", "config.model", required=False, default=0.0)
     try:
         model = ModelConfig(
             dependence=dep,
-            t_max=_num(model_doc, "t_max", "config.model"),
-            r=_num(model_doc, "r", "config.model", required=False, default=0.0),
+            t_max=t_max,
+            r=r,
             premiums=premiums,
             seed=seed,
-            batch_size=int(_num(model_doc, "batch_size", "config.model", required=False, default=2_000_000)),
+            batch_size=batch_size,
         )
     except ValueError as exc:
         raise ConfigError(f"config.model: {exc}") from exc

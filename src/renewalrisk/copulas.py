@@ -6,7 +6,9 @@ inside a bivariate Frank copula.  Each variant carries
 
 * the joint copula CDF and C-volumes,
 * exact conditional distributions (given theta; given the other claim and
-  theta), obtained from closed-form copula partial derivatives,
+  theta), obtained from closed-form copula partial derivatives, and the
+  window probabilities under them, each factored in the window widths so
+  they stay accurate deep in the tail,
 * an exact sampler, closed-form except for the acceptance-rejection of
   the FGM variant (the two Frank variants share their generator algebra),
 * the closed-form dependence weights h_i(s), g(s), g_ij(z, s) describing
@@ -140,32 +142,16 @@ class DependenceSpec:
         return u_lo, fi.cdf(win.x + win.d), np.asarray(local_prob(fi, win))
 
     def cond_local_prob_given_theta(self, i: int, win: LocalWindow, s):
-        """Exact P(X_i in (x, x+d] | theta = s)."""
-        u_lo, u_hi, _ = self._window(i, win)
-        w = self.g_dist.cdf(s)
-        if i == 1:
-            return self.cond_cdf_given_w(u_hi, 1.0, w) - self.cond_cdf_given_w(u_lo, 1.0, w)
-        return self.cond_cdf_given_w(1.0, u_hi, w) - self.cond_cdf_given_w(1.0, u_lo, w)
+        """Exact P(X_i in (x, x+d] | theta = s), factored in the window width."""
+        raise NotImplementedError
 
     def cond_joint_local_prob_given_theta(self, win1: LocalWindow, win2: LocalWindow, s):
-        """Exact P(X1 in win1, X2 in win2 | theta = s)."""
-        u_lo, u_hi, _ = self._window(1, win1)
-        v_lo, v_hi, _ = self._window(2, win2)
-        w = self.g_dist.cdf(s)
-        return (
-            self.cond_cdf_given_w(u_hi, v_hi, w)
-            - self.cond_cdf_given_w(u_lo, v_hi, w)
-            - self.cond_cdf_given_w(u_hi, v_lo, w)
-            + self.cond_cdf_given_w(u_lo, v_lo, w)
-        )
+        """Exact P(X1 in win1, X2 in win2 | theta = s), factored in both widths."""
+        raise NotImplementedError
 
     def cond_local_prob_given_other(self, i: int, win: LocalWindow, z, s):
         """Exact P(X_i in (x, x+d] | X_j = z, theta = s), j the other claim."""
-        fj = self.f2 if i == 1 else self.f1
-        u_lo, u_hi, _ = self._window(i, win)
-        w = self.g_dist.cdf(s)
-        v = fj.cdf(z)
-        return self.cond_cdf_given_vw(i, u_hi, v, w) - self.cond_cdf_given_vw(i, u_lo, v, w)
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +172,17 @@ class Independent(DependenceSpec):
 
     def cond_cdf_given_vw(self, i, u, v, w):
         return np.asarray(u, dtype=float)[()]
+
+    def cond_local_prob_given_theta(self, i, win, s):
+        return (self._window(i, win)[2] * np.ones_like(np.asarray(s, dtype=float)))[()]
+
+    def cond_joint_local_prob_given_theta(self, win1, win2, s):
+        du, dv = self._window(1, win1)[2], self._window(2, win2)[2]
+        return (du * dv * np.ones_like(np.asarray(s, dtype=float)))[()]
+
+    def cond_local_prob_given_other(self, i, win, z, s):
+        du = self._window(i, win)[2]
+        return (du * np.ones_like(np.asarray(z, dtype=float) * np.asarray(s, dtype=float)))[()]
 
     def sample_uniform(self, rng, n):
         return rng.random(n), rng.random(n), rng.random(n)

@@ -120,6 +120,8 @@ class CounterexampleDensity:
         widths = np.diff(self.table.nodes)
         seg = 0.5 * (self.table.f0[:-1] + self.table.f0[1:]) * widths
         self._cum = np.concatenate([[0.0], np.cumsum(seg)])
+        # raw mass beyond each node, summed from the right for the survival
+        self._tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
 
     @property
     def x_max(self) -> float:
@@ -229,6 +231,20 @@ class CounterexampleF(Marginal):
         clipped = np.clip(x, 0.0, self._density.x_max)
         out = self._density.cdf(clipped)
         return np.where(x >= self._density.x_max, 1.0, np.where(x < 0, 0.0, out))[()]
+
+    def sf(self, x):
+        """Survival summed from the right, without the cancellation of 1 - cdf.
+
+        The raw mass beyond the right node of x's segment plus the
+        trapezoid from x to that node, clamped to [0, 1].
+        """
+        dens = self._density
+        nodes, f0 = dens.table.nodes, dens.table.f0
+        x = np.clip(np.asarray(x, dtype=float), 0.0, dens.x_max)
+        right = np.clip(np.searchsorted(nodes, x, side="right"), 1, len(nodes) - 1)
+        fx = np.interp(x, nodes, f0)
+        raw = dens._tail[right] + 0.5 * (fx + f0[right]) * (nodes[right] - x)
+        return np.clip(raw / dens.norm, 0.0, 1.0)[()]
 
     def quantile(self, p):
         """Closed-form inverse of the piecewise-quadratic CDF.

@@ -9,9 +9,11 @@ Every estimator runs on one streaming kernel, `_stream_paths`.  It keeps
 only the state of the paths still alive and passes each path's state to
 the estimator's scoring function once for every run of grid times its
 clock moves past, so a whole (t, box) grid is scored in a single pass
-over the paths.  The cells of one run therefore share common random
-numbers (their estimates are correlated, never biased), and memory does
-not grow with the grid.
+over the paths.  The paths scored in one round have all made that
+round's number of arrivals, so the arrival count N(t) is one integer
+per call rather than a per-path array.  The cells of one run share
+common random numbers (their estimates are correlated, never biased),
+and memory does not grow with the grid.
 
 Reproducibility: the path budget is cut into fixed-size batches and each
 batch owns a counter-based Philox stream keyed by (seed, batch index,
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +39,9 @@ __all__ = [
     "CompoundPoisson",
     "ModelConfig",
     "Estimate",
-    "StratumTable",
     "simulate_discounted_claims",
     "simulate_grid",
     "simulate_net_loss",
-    "stratified_estimate",
     "lemma33_check",
     "uniformity_scan",
 ]
@@ -232,20 +232,21 @@ def _run_batches(worker, n_paths: int, batch_size: int, threads: int):
 
 
 def _stream_paths(config: ModelConfig, rng, n: int, t_grid: np.ndarray, score,
-                  counts: bool = False, claims: int = 0, carry=None) -> None:
+                  claims: int = 0, carry=None) -> None:
     """Run n paths to the horizon t_grid[-1], scoring their states as clocks pass grid times.
 
     Each round draws one triple per alive path and moves its clock to the
     next arrival; an arrival at time s counts at every grid time >= s.
     Paths whose clocks just passed grid times t_grid[g..b-1] held one
     state at all of them, so they are scored once, by
-    ``score(g, b, state)`` with g and b arrays over those paths:
+    ``score(g, b, state, count)`` with g and b arrays over those paths:
     ``state`` maps "d1", "d2" (discounted claim sums) to arrays over the
-    same paths, plus "count" (arrivals so far) if ``counts``, "v1" and
-    "v2" (the first ``claims`` discounted claims, zero-padded, shape
-    (paths, claims)) if ``claims``, and the entries of ``carry`` (per-path
-    arrays given in batch order).  Every path is scored up to its last
-    grid time, ending with b = len(t_grid).
+    same paths, plus "v1" and "v2" (the first ``claims`` discounted
+    claims, zero-padded, shape (paths, claims)) if ``claims``, and the
+    entries of ``carry`` (per-path arrays given in batch order).  All
+    paths scored in one round share their arrival count N(t), the round
+    number, which is passed as ``count``.  Every path is scored up to its
+    last grid time, ending with b = len(t_grid).
 
     Alive paths stay in batch order, compacted with boolean masks, so the
     draws depend on the batch alone.  ``score`` must not modify or keep
@@ -255,8 +256,6 @@ def _stream_paths(config: ModelConfig, rng, n: int, t_grid: np.ndarray, score,
     clock = np.zeros(n)
     first = np.zeros(n, dtype=np.intp)  # first grid time not yet passed
     state = {"d1": np.zeros(n), "d2": np.zeros(n), **(carry or {})}
-    if counts:
-        state["count"] = np.zeros(n, dtype=np.int64)
     if claims:
         state["v1"], state["v2"] = np.zeros((n, claims)), np.zeros((n, claims))
     for round_no in range(MAX_ARRIVALS + 1):
@@ -266,9 +265,9 @@ def _stream_paths(config: ModelConfig, rng, n: int, t_grid: np.ndarray, score,
         stop = np.searchsorted(t_grid, clock, side="left")
         passed = stop > first
         if passed.all():
-            score(first, stop, state)
+            score(first, stop, state, round_no)
         elif passed.any():
-            score(first[passed], stop[passed], {k: v[passed] for k, v in state.items()})
+            score(first[passed], stop[passed], {k: v[passed] for k, v in state.items()}, round_no)
         alive = clock <= t_top
         if not alive.all():
             clock, stop = clock[alive], stop[alive]
@@ -282,8 +281,6 @@ def _stream_paths(config: ModelConfig, rng, n: int, t_grid: np.ndarray, score,
         y1, y2 = x1 * disc, x2 * disc
         state["d1"] += y1
         state["d2"] += y2
-        if counts:
-            state["count"] += 1
         if round_no < claims:
             state["v1"][:, round_no] = y1
             state["v2"][:, round_no] = y2
@@ -318,7 +315,7 @@ def simulate_grid(config: ModelConfig, t_grid, boxes, n_paths: int, threads: int
         rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
         diff = np.zeros((len(boxes), m + 1), dtype=np.int64)
 
-        def score(first, stop, state):
+        def score(first, stop, state, count):
             for j, box in enumerate(boxes):
                 hit = _in_box(state["d1"], state["d2"], box)
                 diff[j] += np.bincount(first[hit], minlength=m + 1)
@@ -396,7 +393,7 @@ def simulate_net_loss(
         carry = {"s1": np.broadcast_to(s1, batch_n), "s2": np.broadcast_to(s2, batch_n)}
         hits = np.zeros(1, dtype=np.int64)
 
-        def score(first, stop, state):
+        def score(first, stop, state, count):
             hits[0] += np.count_nonzero(_in_box(state["d1"] - state["s1"], state["d2"] - state["s2"], target))
 
         _stream_paths(config, rng, batch_n, np.array([t]), score, carry=carry)
@@ -417,64 +414,6 @@ def _premium_values(config: ModelConfig, batch_index: int, batch_n: int, t: floa
                 prng = _batch_rng(config, batch_index, _PREMIUM_STREAM)
             out.append(p.sample_discounted(prng, batch_n, config.r, t))
     return out
-
-
-@dataclass(frozen=True)
-class StratumTable:
-    """Post-stratification of the box event by the arrival count N(t)."""
-
-    n_cap: int
-    counts: np.ndarray          # paths with N(t) = n for n = 0..n_cap, then N > n_cap
-    hits: np.ndarray            # box hits within each stratum
-    combined: Estimate = field(compare=False)
-
-
-def stratified_estimate(
-    config: ModelConfig, t: float, box: Box2, n_cap: int, n_paths: int, threads: int = 1
-) -> StratumTable:
-    """Box-probability estimate with per-stratum tallies over N(t).
-
-    The point estimate equals the plain estimator (post-stratification
-    with proportional observed allocation); the combined standard error
-    uses within-stratum binomial variances, which cannot exceed the
-    plain binomial error.
-    """
-    if n_cap < 0:
-        raise ValueError("n_cap must be >= 0")
-
-    def worker(batch_index: int, batch_n: int):
-        rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
-        tally = np.zeros((2, n_cap + 2), dtype=np.int64)
-
-        def score(first, stop, state):
-            strata = np.minimum(state["count"], n_cap + 1)
-            hit = _in_box(state["d1"], state["d2"], box)
-            tally[0] += np.bincount(strata, minlength=n_cap + 2)
-            tally[1] += np.bincount(strata[hit], minlength=n_cap + 2)
-
-        _stream_paths(config, rng, batch_n, np.array([t]), score, counts=True)
-        return tally
-
-    tallies = np.sum(_run_batches(worker, n_paths, config.batch_size, threads), axis=0)
-    counts, hits = tallies[0], tallies[1]
-    total_hits = int(hits.sum())
-    value = total_hits / n_paths
-    var = 0.0
-    for c, h in zip(counts, hits):
-        if c > 0:
-            p = h / c
-            var += (c / n_paths) ** 2 * p * (1.0 - p) / c
-    se = math.sqrt(var)
-    base = Estimate.from_hits(total_hits, n_paths)
-    combined = Estimate(
-        value=value,
-        std_error=se,
-        ci95=(value - 1.96 * se, value + 1.96 * se) if total_hits >= 100 else base.ci95,
-        hits=total_hits,
-        n=n_paths,
-        unreliable=total_hits < 30,
-    )
-    return StratumTable(n_cap=n_cap, counts=counts, hits=hits, combined=combined)
 
 
 def lemma33_check(
@@ -502,10 +441,10 @@ def lemma33_check(
         # per box: lhs hits, rhs sum, rhs positive paths, rhs sum of squares
         tally = np.zeros((len(boxes), 4), dtype=np.int64)
 
-        def score(first, stop, state):
-            exact_n = state["count"] == n
-            s1, s2 = state["d1"][exact_n], state["d2"][exact_n]
-            v1, v2 = state["v1"][exact_n], state["v2"][exact_n]
+        def score(first, stop, state, count):
+            if count != n:
+                return
+            s1, s2, v1, v2 = state["d1"], state["d2"], state["v1"], state["v2"]
             for j, b in enumerate(boxes):
                 in1 = ((v1 > b.x1) & (v1 <= b.x1 + b.d1)).sum(axis=1)
                 in2 = ((v2 > b.x2) & (v2 <= b.x2 + b.d2)).sum(axis=1)
@@ -517,7 +456,7 @@ def lemma33_check(
                     np.dot(pair_count, pair_count),
                 )
 
-        _stream_paths(config, rng, batch_n, np.array([t]), score, counts=True, claims=n)
+        _stream_paths(config, rng, batch_n, np.array([t]), score, claims=n)
         return tally
 
     tallies = np.sum(_run_batches(worker, n_paths, config.batch_size, threads), axis=0)

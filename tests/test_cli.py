@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -224,14 +225,22 @@ def test_positional_experiment_overrides(tmp_path):
         ("counterexample", {"counterexample_n_max": 9}, "config.counterexample_n_max"),
         ("asymptotic", {"renewal_step": 0.0}, "config.renewal_step"),
         ("asymptotic", {"renewal_step": 0.25}, "config.renewal_step"),
+        # JSON's Infinity and NaN parse to floats; they must not reach int() or a solver
+        ("simulate", {"model": {"batch_size": math.inf}}, "config.model.batch_size"),
+        ("counterexample", {"model": {"f1": {"family": "counterexample", "n_max": math.inf}}},
+         "config.model.f1.n_max"),
+        ("asymptotic", {"model": {"t_max": math.nan}}, "config.model.t_max"),
     ],
     ids=["lemma33-n", "n-paths-zero", "box-width", "seed-negative", "seed-too-large",
-         "n-boxes-zero", "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large"],
+         "n-boxes-zero", "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large",
+         "batch-size-inf", "n-max-inf", "t-max-nan"],
 )
 def test_config_contract_exit_2(tmp_path, experiment, change, path):
     doc = make_doc(experiment)
     if "seed" in change:
         doc["model"]["seed"] = change["seed"]
+    elif "model" in change:
+        doc["model"].update(change["model"])
     else:
         doc.update(change)
     res = run_cli(tmp_path, doc)

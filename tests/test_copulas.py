@@ -192,6 +192,17 @@ def test_nested_condition_scans_converge_deep_in_the_tail(gamma, condition):
     assert dev[-1] <= 1e-6, dev
 
 
+@pytest.mark.parametrize("condition", [1, 2, 3])
+def test_independent_condition_scans_exact_deep_in_the_tail(condition):
+    # independence makes every conditional window probability its marginal
+    # one, so the scan must read 0 however deep in the tail the window sits
+    spec = Independent(P1, P1, E1)
+    s_grid = np.linspace(0.0, 2.0, 10)
+    x_grid = [10.0, 1e2, 1e3, 1e4, 1e6, 1e8]
+    dev = condition_ratio_scan(spec, 1, s_grid, x_grid, 1.0, condition=condition)
+    assert np.all(dev <= 1e-12), dev
+
+
 def _nested_bisection_sample(spec, rng, n):
     """Reference sampler: bisection on P(W <= w | U, V) = p, same draw order."""
     g = spec.gamma

@@ -196,3 +196,18 @@ def test_n_max_bounds():
         CounterexampleDensity(n_max=0)
     with pytest.raises(ValueError):
         CounterexampleDensity(n_max=9)
+
+
+def test_survival_keeps_the_deep_tail():
+    # the density is linear on each window below, so its mass is exactly
+    # d * f(x + d/2); 1 - cdf cancels to 0.6% error at 1e6 and to 0 at 1e9
+    from renewalrisk.marginals import LocalWindow, local_prob
+
+    F = CounterexampleF(8)
+    for x, rel in ((1e6, 1e-8), (1e9, 1e-5)):
+        exact = 4.0 * F.density.pdf(x + 2.0)
+        assert local_prob(F, LocalWindow(x, 4.0)) == pytest.approx(exact, rel=rel, abs=0.0), x
+    nodes = F.density.table.nodes
+    xs = np.concatenate([np.linspace(0.0, 1e5, 20_001), nodes[nodes <= 1e5]])
+    np.testing.assert_allclose(F.sf(xs), 1.0 - F.cdf(xs), rtol=0.0, atol=1e-15)
+    assert F.sf(F.density.x_max) == 0.0 and F.sf(-1.0) <= 1.0

@@ -1,0 +1,26 @@
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    res = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()
+
+
+def test_run_conditions_rows_all_decrease():
+    rows = run_script("run_conditions.py")[1:]
+    assert len(rows) == 9, rows
+    assert all(row.split()[-1] == "ok" for row in rows), rows
+
+
+def test_run_counterexample_prints_every_block():
+    lines = run_script("run_counterexample.py", "--n-max", "8")
+    blocks = [line.split() for line in lines[2:]]
+    assert [int(b[0]) for b in blocks] == list(range(1, 9)), lines
+    assert all(len(b) == 5 for b in blocks), lines

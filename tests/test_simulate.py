@@ -15,7 +15,6 @@ from renewalrisk.simulate import (
     simulate_discounted_claims,
     simulate_grid,
     simulate_net_loss,
-    stratified_estimate,
 )
 
 P1, E1 = Pareto(1.0), Exponential(1.0)
@@ -126,18 +125,12 @@ def test_net_loss_discounted_close():
     assert nl.hits == direct.hits
 
 
-def test_stratified_matches_plain():
+def test_lemma33_lhs_is_poisson_occupancy():
+    # a box holding every claim sum turns lhs into P(N(1) = n) = e^-1 / n!
     cfg = make_config()
-    box = Box2(10.0, 10.0, 5.0, 5.0)
-    table = stratified_estimate(cfg, 1.0, box, n_cap=4, n_paths=200_000)
-    plain = simulate_discounted_claims(cfg, 1.0, box, 200_000)
-    assert table.combined.value == pytest.approx(plain.value, abs=1e-15)
-    assert table.combined.std_error <= plain.std_error + 1e-12
-    assert int(table.counts.sum()) == 200_000
-    # Poisson stratum occupancies
-    probs = np.array([math.exp(-1.0) / math.factorial(n) for n in range(5)])
-    emp = table.counts[:5] / 200_000
-    assert np.allclose(emp, probs, atol=0.005)
+    for n in (1, 2, 3):
+        lhs, _, _ = lemma33_check(cfg, n, 1.0, Box2(0.0, 0.0, 1e15, 1e15), 200_000)
+        assert lhs.value == pytest.approx(math.exp(-1.0) / math.factorial(n), abs=0.005), n
 
 
 def test_lemma33_n1_exact():
@@ -316,11 +309,10 @@ def test_lemma33_boxes_share_one_pass():
     "run",
     [
         lambda cfg: simulate_grid(cfg, [1.0, 2.0], [Box2(1.0, 1.0, 1.0, 1.0)], 100),
-        lambda cfg: stratified_estimate(cfg, 2.0, Box2(1.0, 1.0, 1.0, 1.0), 3, 100),
         lambda cfg: lemma33_check(cfg, 2, 2.0, Box2(1.0, 1.0, 1.0, 1.0), 100),
         lambda cfg: simulate_net_loss(cfg, (1.0, 1.0), 2.0, (1.0, 1.0), 100),
     ],
-    ids=["grid", "stratified", "lemma33", "net-loss"],
+    ids=["grid", "lemma33", "net-loss"],
 )
 def test_arrival_cap_is_uniform(monkeypatch, run):
     # arrivals at 0.25, 0.5, ..., 2.0: eight inside the horizon
