@@ -10,7 +10,16 @@ Subcommands
     verify-conditions   conditional/asymptotic ratio scans along x
     lemma33             n-arrival box event vs sum-of-pairs expectation
 
+`simulate`, `asymptotic` and `compare` write one (t, box) table, with the
+columns of `simulate.SCAN_COLUMNS`: `simulate` fills its Monte Carlo
+half, `asymptotic` its quadrature half, and `compare` both plus the ratio.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+`parse_config` checks every section, field, grid and command-line
+override the experiment reads before any computation starts, so every
+configuration error exits 2 with a message that names its config path.
+The output path is opened only once the rows are ready, so one that
+cannot be written exits 3.
 All numeric CSV fields use shortest round-trip decimal representation,
 and outputs are byte-identical for identical (config, seed) regardless
 of --threads.
@@ -21,12 +30,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
 
-from .asymptotics import Box2, theorem_rhs
+from .asymptotics import Box2
 from .copulas import (
     DependenceSpec,
     FrankTri,
@@ -40,15 +48,7 @@ from .copulas import (
 from .counterexample import N_MAX_LIMIT, CounterexampleDensity, CounterexampleF
 from .marginals import Deterministic, Exponential, Marginal, Pareto, Weibull
 from .renewal import renewal_function, tilted_triplet
-from .simulate import (
-    CompoundPoisson,
-    Estimate,
-    Linear,
-    ModelConfig,
-    lemma33_check,
-    simulate_grid,
-    uniformity_scan,
-)
+from .simulate import SCAN_COLUMNS, CompoundPoisson, Linear, ModelConfig, lemma33_check, uniformity_scan
 
 __all__ = ["main", "parse_config", "ConfigError"]
 
@@ -60,6 +60,8 @@ class ConfigError(ValueError):
 
 
 def _get(doc: dict, key: str, path: str, required: bool = True, default=None):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object")
     if key not in doc:
         if required:
             raise ConfigError(f"{path}.{key}: required field missing")
@@ -67,12 +69,16 @@ def _get(doc: dict, key: str, path: str, required: bool = True, default=None):
     return doc[key]
 
 
+def _finite(val) -> bool:
+    """A JSON number that fits a double: not a bool, NaN, +-Infinity or a huge integer."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= sys.float_info.max
+
+
 def _num(doc: dict, key: str, path: str, required: bool = True, default=None):
     val = _get(doc, key, path, required, default)
     if val is default and not required:
         return default
-    if (not isinstance(val, (int, float)) or isinstance(val, bool)
-            or (isinstance(val, float) and not math.isfinite(val))):
+    if not _finite(val):
         raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
     return float(val)
 
@@ -83,8 +89,7 @@ def _int(doc: dict, key: str, path: str, default: int, lo: int, hi: int | None =
     JSON integers are kept exact, so seeds near 2**64 do not round.
     """
     val = _get(doc, key, path, required=False, default=default)
-    if (not isinstance(val, (int, float)) or isinstance(val, bool)
-            or (isinstance(val, float) and not math.isfinite(val))):
+    if not _finite(val):
         raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
     val = int(val)
     if val < lo or (hi is not None and val >= hi):
@@ -94,8 +99,6 @@ def _int(doc: dict, key: str, path: str, default: int, lo: int, hi: int | None =
 
 
 def parse_marginal(doc, path: str) -> Marginal:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object with a 'family' field")
     family = _get(doc, "family", path)
     try:
         if family == "pareto":
@@ -142,6 +145,8 @@ def parse_dependence(doc, f1, f2, g, path: str) -> DependenceSpec:
                 f1, f2, g,
                 _num(doc, "g12", path), _num(doc, "g13", path), _num(doc, "g23", path),
             )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(
@@ -164,39 +169,54 @@ def parse_premium(doc, path: str):
     raise ConfigError(f"{path}.kind: unknown premium {kind!r} (expected linear|compound-poisson)")
 
 
-EXPERIMENTS = (
-    "simulate", "asymptotic", "compare", "renewal",
-    "copula-check", "counterexample", "verify-conditions", "lemma33",
-)
+#: each experiment and the grids it requires; the four that need t_grid are
+#: scored on boxes: one `box`, or squares of side grids.d at grids.x_grid
+EXPERIMENTS = {
+    "simulate": ("t_grid",), "asymptotic": ("t_grid",), "compare": ("t_grid",),
+    "renewal": (), "copula-check": (), "counterexample": (),
+    "verify-conditions": ("s_grid", "x_grid"), "lemma33": ("t_grid",),
+}
 
 
-#: experiments scored on boxes: one `box`, or squares of side grids.d at grids.x_grid
-BOX_EXPERIMENTS = ("simulate", "asymptotic", "compare", "lemma33")
+def _grids(doc: dict, experiment: str, t_max: float) -> dict:
+    """The grids the config gives, checked, plus the box width ``d``."""
+    grids_doc = _get(doc, "grids", "config", required=False, default={})
+    grids = {}
+    for name in ("t_grid", "x_grid", "s_grid"):
+        vals = _get(grids_doc, name, "config.grids", required=name in EXPERIMENTS[experiment])
+        if name in grids_doc:
+            if not isinstance(vals, list) or not vals or not all(_finite(v) for v in vals):
+                raise ConfigError(f"config.grids.{name}: expected a nonempty list of finite numbers")
+            grids[name] = vals
+    if any(t <= 0 or t > t_max for t in grids.get("t_grid", ())):
+        raise ConfigError(f"config.grids.t_grid: values must lie in (0, t_max={t_max}]")
+    if any(x < 0 for x in grids.get("x_grid", ())):
+        raise ConfigError("config.grids.x_grid: values must be >= 0")
+    grids["d"] = _num(grids_doc, "d", "config.grids", required=False, default=1.0)
+    if grids["d"] <= 0:
+        raise ConfigError(f"config.grids.d: must be > 0, got {grids['d']}")
+    return grids
 
 
 def _boxes(doc: dict, grids: dict) -> list:
-    if doc.get("box") is not None:
-        b = doc["box"]
-        path = "config.box"
-        if not isinstance(b, dict):
-            raise ConfigError(f"{path}: expected an object with x1, x2, d1, d2")
-        levels = [[_num(b, k, path) for k in ("x1", "x2", "d1", "d2")]]
-    elif "x_grid" in grids:
-        path = "config.grids"
-        d = _num(grids, "d", path, required=False, default=1.0)
-        levels = [[x, x, d, d] for x in grids["x_grid"]]
-    else:
-        raise ConfigError("config: need either box or grids.x_grid")
+    if doc.get("box") is None:
+        if "x_grid" not in grids:
+            raise ConfigError("config: need either box or grids.x_grid")
+        return [Box2(x, x, grids["d"], grids["d"]) for x in grids["x_grid"]]
+    levels = [_num(doc["box"], k, "config.box") for k in ("x1", "x2", "d1", "d2")]
     try:
-        return [Box2(*v) for v in levels]
+        return [Box2(*levels)]
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"config.box: {exc}") from exc
 
 
-def parse_config(doc: dict) -> dict:
-    """Validate the JSON document into a plain dict of typed pieces."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be a JSON object")
+def parse_config(doc: dict, experiment: str | None = None, seed: int | None = None) -> dict:
+    """Validate the JSON document into a plain dict of typed pieces.
+
+    ``experiment`` and ``seed`` override the document's fields (the
+    command line's positional experiment and ``--seed``); they apply
+    after the document's shape is checked and pass the same checks.
+    """
     model_doc = _get(doc, "model", "config")
     f1 = parse_marginal(_get(model_doc, "f1", "config.model"), "config.model.f1")
     f2 = parse_marginal(_get(model_doc, "f2", "config.model"), "config.model.f2")
@@ -209,7 +229,8 @@ def parse_config(doc: dict) -> dict:
         if not isinstance(prem_doc, list) or len(prem_doc) != 2:
             raise ConfigError("config.model.premiums: expected a list of exactly two premium objects")
         premiums = tuple(parse_premium(p, f"config.model.premiums[{i}]") for i, p in enumerate(prem_doc))
-    seed = _int(model_doc, "seed", "config.model", default=0, lo=0, hi=2**64)
+    seed_doc = model_doc if seed is None else {"seed": seed}
+    seed = _int(seed_doc, "seed", "config.model", default=0, lo=0, hi=2**64)
     batch_size = _int(model_doc, "batch_size", "config.model", default=2_000_000, lo=1)
     t_max = _num(model_doc, "t_max", "config.model")
     r = _num(model_doc, "r", "config.model", required=False, default=0.0)
@@ -225,36 +246,31 @@ def parse_config(doc: dict) -> dict:
     except ValueError as exc:
         raise ConfigError(f"config.model: {exc}") from exc
 
-    experiment = _get(doc, "experiment", "config")
-    if experiment not in EXPERIMENTS:
+    if experiment is None:
+        experiment = _get(doc, "experiment", "config")
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError(f"config.experiment: unknown experiment {experiment!r} (expected one of {', '.join(EXPERIMENTS)})")
 
-    grids = _get(doc, "grids", "config", required=False, default={})
-    for name in ("t_grid", "x_grid", "s_grid"):
-        if name in grids:
-            vals = grids[name]
-            if not isinstance(vals, list) or not vals or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals
-            ):
-                raise ConfigError(f"config.grids.{name}: expected a nonempty list of numbers")
-    if "t_grid" in grids and any(t <= 0 or t > model.t_max for t in grids["t_grid"]):
-        raise ConfigError(f"config.grids.t_grid: values must lie in (0, t_max={model.t_max}]")
+    grids = _grids(doc, experiment, model.t_max)
     renewal_step = _num(doc, "renewal_step", "config", required=False, default=model.t_max / 2000)
     if not 0 < renewal_step <= model.t_max / 10:
         raise ConfigError(f"config.renewal_step: must lie in (0, t_max/10={model.t_max / 10}], got {renewal_step}")
+    output_path = _get(doc, "output_path", "config", required=False, default="-")
+    if not isinstance(output_path, str):
+        raise ConfigError(f"config.output_path: expected a string, got {output_path!r}")
 
     return {
         "model": model,
         "experiment": experiment,
         "grids": grids,
-        "boxes": _boxes(doc, grids) if experiment in BOX_EXPERIMENTS else None,
+        "boxes": _boxes(doc, grids) if "t_grid" in EXPERIMENTS[experiment] else None,
         "n": _int(doc, "n", "config", default=2, lo=1, hi=4) if experiment == "lemma33" else None,
         "n_paths": _int(doc, "n_paths", "config", default=1_000_000, lo=1),
         "n_boxes": _int(doc, "n_boxes", "config", default=100_000, lo=1),
         "renewal_step": renewal_step,
         "counterexample_n_max": _int(doc, "counterexample_n_max", "config", default=N_MAX_LIMIT,
                                      lo=1, hi=N_MAX_LIMIT + 1),
-        "output_path": doc.get("output_path", "-"),
+        "output_path": output_path,
     }
 
 
@@ -282,10 +298,6 @@ def _solve_and_tilt(cfg):
     model = cfg["model"]
     grid = renewal_function(model.g_dist, model.t_max, cfg["renewal_step"])
     return grid, tilted_triplet(grid, model.dependence)
-
-
-SCHEMA = ["t", "x1", "x2", "d1", "d2", "r", "asymptotic_total", "cross_term",
-          "diagonal_term", "empirical", "empirical_se", "ratio"]
 
 
 def run(cfg: dict, threads: int = 1) -> None:
@@ -336,9 +348,6 @@ def run(cfg: dict, threads: int = 1) -> None:
         return
 
     if experiment == "verify-conditions":
-        if "s_grid" not in grids or "x_grid" not in grids:
-            raise ConfigError("config.grids: verify-conditions needs s_grid and x_grid")
-        d = _num(grids, "d", "config.grids", required=False, default=1.0)
         report = bounds_over_horizon(model.dependence, model.t_max)
         for w in report.warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -346,15 +355,13 @@ def run(cfg: dict, threads: int = 1) -> None:
         for condition in (1, 2, 3):
             for i in (1, 2) if condition != 2 else (1,):
                 devs = condition_ratio_scan(model.dependence, i, np.asarray(grids["s_grid"]),
-                                            grids["x_grid"], d, condition=condition)
+                                            grids["x_grid"], grids["d"], condition=condition)
                 for x, dev in zip(grids["x_grid"], devs):
                     rows.append([condition, i, float(x), float(dev)])
         _write_csv(out, ["condition", "claim", "x", "max_deviation"], rows)
         return
 
     if experiment == "lemma33":
-        if "t_grid" not in grids:
-            raise ConfigError("config.grids: lemma33 needs t_grid")
         boxes = cfg["boxes"]
         rows = []
         for t in grids["t_grid"]:
@@ -367,30 +374,11 @@ def run(cfg: dict, threads: int = 1) -> None:
                          "rhs", "rhs_se", "rhs_hits", "ratio"], rows)
         return
 
-    # the remaining experiments share the (t, x) scan schema
-    if "t_grid" not in grids:
-        raise ConfigError(f"config.grids: {experiment} needs t_grid")
-    boxes = cfg["boxes"]
-    rows = []
-    if experiment == "simulate":
-        hits = simulate_grid(model, grids["t_grid"], boxes, cfg["n_paths"], threads=threads)
-        for j, box in enumerate(boxes):
-            for i, t in enumerate(grids["t_grid"]):
-                est = Estimate.from_hits(int(hits[i, j]), cfg["n_paths"])
-                rows.append([t, box.x1, box.x2, box.d1, box.d2, model.r,
-                             None, None, None, est.value, est.std_error, None])
-    elif experiment == "asymptotic":
-        _, (t1, t2, tj) = _solve_and_tilt(cfg)
-        for box in boxes:
-            for t in grids["t_grid"]:
-                val = theorem_rhs(model.f1, model.f2, box, model.r, t, t1, t2, tj)
-                rows.append([t, box.x1, box.x2, box.d1, box.d2, model.r,
-                             val.total, val.cross_term, val.diagonal_term, None, None, None])
-    else:  # compare
-        _, triplet = _solve_and_tilt(cfg)
-        scan = uniformity_scan(model, grids["t_grid"], boxes, triplet, cfg["n_paths"], threads=threads)
-        rows = [[rrow[c] for c in SCHEMA] for rrow in scan]
-    _write_csv(out, SCHEMA, rows)
+    # simulate, asymptotic and compare fill the two halves of one (t, box) table
+    triplet = None if experiment == "simulate" else _solve_and_tilt(cfg)[1]
+    n_paths = None if experiment == "asymptotic" else cfg["n_paths"]
+    _write_csv(out, SCAN_COLUMNS, uniformity_scan(model, grids["t_grid"], cfg["boxes"], triplet, n_paths,
+                                                     threads=threads))
 
 
 def main(argv=None) -> int:
@@ -415,11 +403,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.experiment:
-            doc["experiment"] = args.experiment
-        if args.seed is not None:
-            doc.setdefault("model", {})["seed"] = args.seed
-        cfg = parse_config(doc)
+        cfg = parse_config(doc, experiment=args.experiment, seed=args.seed)
         if args.out is not None:
             cfg["output_path"] = args.out
     except ConfigError as exc:
@@ -428,9 +412,6 @@ def main(argv=None) -> int:
 
     try:
         run(cfg, threads=max(1, args.threads))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - harness boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -160,8 +160,8 @@ class CounterexampleDensity:
             raise ValueError("x outside (a_1, a_{n_max+1}]")
         return int(np.searchsorted(a, x, side="left") - 1)
 
-    def _segments(self, x: float, extra=()) -> np.ndarray:
-        pts = np.concatenate([self.table.nodes, x - self.table.nodes, np.asarray(extra, dtype=float)])
+    def _segments(self, x: float) -> np.ndarray:
+        pts = np.concatenate([self.table.nodes, x - self.table.nodes])
         pts = pts[(pts >= 0.0) & (pts <= x)]
         pts = np.unique(np.concatenate([[0.0, x], pts]))
         return pts

@@ -160,15 +160,13 @@ def renewal_function(g: Marginal, t_max: float, h: float) -> RenewalGrid:
     return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_dist=g)
 
 
-def tilted_measure(grid: RenewalGrid, weight, g: Marginal | None = None, kind: str = "custom") -> TiltedMeasure:
+def tilted_measure(grid: RenewalGrid, weight, kind: str = "custom") -> TiltedMeasure:
     """Increments of lambda~(t) = int (1 + lambda(t-u)) w(u) G(du).
 
     ``weight`` is a vectorized function of u on [0, t_max]; it must be
     positive there.  With w == 1 the cumulative measure reproduces the
     renewal function exactly on the grid, by construction of the solver.
     """
-    if g is None:
-        g = grid.g_dist
     h = grid.step
     lam = grid.lambda_values
     k_max = len(lam) - 1
@@ -178,7 +176,7 @@ def tilted_measure(grid: RenewalGrid, weight, g: Marginal | None = None, kind: s
         w = np.broadcast_to(w, t.shape)
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("tilting weight must be positive and finite on the grid")
-    dg = _stieltjes_increments(g, h, k_max)
+    dg = _stieltjes_increments(grid.g_dist, h, k_max)
     # lambda~_k = sum_j [ (1+lam_{k-j}) w_j + (1+lam_{k-j+1}) w_{j-1} ] / 2 * dG_j
     a = 0.5 * w[1:] * dg          # pairs with lam_{k-j}, j = 1..k
     b = 0.5 * w[:-1] * dg         # pairs with lam_{k-j+1}

@@ -44,6 +44,7 @@ __all__ = [
     "simulate_net_loss",
     "lemma33_check",
     "uniformity_scan",
+    "SCAN_COLUMNS",
 ]
 
 #: stream ids separating the independent substreams of one batch
@@ -336,37 +337,38 @@ def simulate_discounted_claims(
     return Estimate.from_hits(int(hits[0, 0]), n_paths)
 
 
-def uniformity_scan(config, t_grid, boxes, tilted_triplet, n_paths: int, threads: int = 1):
-    """Rows of (t, box, asymptotic, empirical, se, ratio) over a (t, box) grid.
+#: the columns of the (t, box) table, in CSV order
+SCAN_COLUMNS = ("t", "x1", "x2", "d1", "d2", "r", "asymptotic_total", "cross_term",
+                "diagonal_term", "empirical", "empirical_se", "ratio")
 
-    With boxes the squares (x, x+d]^2 along growing levels x, the caller
-    judges whether max-over-t deviation of the ratio from 1 shrinks
-    along x.  One simulate_grid pass serves every cell.
+
+def uniformity_scan(config, t_grid, boxes, tilted_triplet=None, n_paths: int | None = None, threads: int = 1):
+    """The (t, box) table: one row per cell in ``SCAN_COLUMNS`` order, boxes outermost.
+
+    Given ``n_paths``, one simulate_grid pass fills the empirical columns;
+    given the tilted triplet, theorem_rhs fills the asymptotic ones; ratio
+    (empirical over asymptotic total) needs both.  Columns whose input is
+    missing stay None.  With boxes the squares (x, x+d]^2 along growing
+    levels x, the max-over-t deviation of the ratio from 1 should shrink
+    along x.
     """
-    tilted_1, tilted_2, tilted_joint = tilted_triplet
-    hits = simulate_grid(config, t_grid, boxes, n_paths, threads=threads)
+    hits = None if n_paths is None else simulate_grid(config, t_grid, boxes, n_paths, threads=threads)
     rows = []
     for j, box in enumerate(boxes):
         for i, t in enumerate(t_grid):
-            asym = theorem_rhs(config.f1, config.f2, box, config.r, t, tilted_1, tilted_2, tilted_joint)
-            est = Estimate.from_hits(int(hits[i, j]), n_paths)
-            ratio = est.value / asym.total if asym.total > 0 else math.nan
-            rows.append(
-                {
-                    "t": t,
-                    "x1": box.x1,
-                    "x2": box.x2,
-                    "d1": box.d1,
-                    "d2": box.d2,
-                    "r": config.r,
-                    "asymptotic_total": asym.total,
-                    "cross_term": asym.cross_term,
-                    "diagonal_term": asym.diagonal_term,
-                    "empirical": est.value,
-                    "empirical_se": est.std_error,
-                    "ratio": ratio,
-                }
-            )
+            asym = est = ratio = None
+            if tilted_triplet is not None:
+                asym = theorem_rhs(config.f1, config.f2, box, config.r, t, *tilted_triplet)
+            if hits is not None:
+                est = Estimate.from_hits(int(hits[i, j]), n_paths)
+            if asym is not None and est is not None:
+                ratio = est.value / asym.total if asym.total > 0 else math.nan
+            rows.append([
+                t, box.x1, box.x2, box.d1, box.d2, config.r,
+                *((asym.total, asym.cross_term, asym.diagonal_term) if asym is not None else (None,) * 3),
+                *((est.value, est.std_error) if est is not None else (None,) * 2),
+                ratio,
+            ])
     return rows
 
 

@@ -213,39 +213,69 @@ def test_positional_experiment_overrides(tmp_path):
     assert rows[1][rows[0].index("asymptotic_total")] == ""  # simulate leaves it blank
 
 
+VERIFY_S_GRID = [0.0, 0.5, 1.0]
+
+
 @pytest.mark.parametrize(
-    "experiment, change, path",
+    "experiment, change, path, args",
     [
-        ("lemma33", {"n": 4}, "config.n"),
-        ("simulate", {"n_paths": 0}, "config.n_paths"),
-        ("simulate", {"box": {"x1": 5.0, "x2": 5.0, "d1": 0.0, "d2": 5.0}}, "config.box"),
-        ("simulate", {"seed": -1}, "config.model.seed"),
-        ("simulate", {"seed": 2**64}, "config.model.seed"),
-        ("copula-check", {"n_boxes": 0}, "config.n_boxes"),
-        ("counterexample", {"counterexample_n_max": 9}, "config.counterexample_n_max"),
-        ("asymptotic", {"renewal_step": 0.0}, "config.renewal_step"),
-        ("asymptotic", {"renewal_step": 0.25}, "config.renewal_step"),
+        ("lemma33", {"n": 4}, "config.n", ()),
+        ("simulate", {"n_paths": 0}, "config.n_paths", ()),
+        ("simulate", {"box": {"x1": 5.0, "x2": 5.0, "d1": 0.0, "d2": 5.0}}, "config.box", ()),
+        ("simulate", {"seed": -1}, "config.model.seed", ()),
+        ("simulate", {"seed": 2**64}, "config.model.seed", ()),
+        ("copula-check", {"n_boxes": 0}, "config.n_boxes", ()),
+        ("counterexample", {"counterexample_n_max": 9}, "config.counterexample_n_max", ()),
+        ("asymptotic", {"renewal_step": 0.0}, "config.renewal_step", ()),
+        ("asymptotic", {"renewal_step": 0.25}, "config.renewal_step", ()),
         # JSON's Infinity and NaN parse to floats; they must not reach int() or a solver
-        ("simulate", {"model": {"batch_size": math.inf}}, "config.model.batch_size"),
+        ("simulate", {"model": {"batch_size": math.inf}}, "config.model.batch_size", ()),
         ("counterexample", {"model": {"f1": {"family": "counterexample", "n_max": math.inf}}},
-         "config.model.f1.n_max"),
-        ("asymptotic", {"model": {"t_max": math.nan}}, "config.model.t_max"),
+         "config.model.f1.n_max", ()),
+        ("asymptotic", {"model": {"t_max": math.nan}}, "config.model.t_max", ()),
+        # every section must be an object before any of its fields is read
+        ("simulate", {"grids": 5}, "config.grids", ()),
+        ("simulate", {"model": 5}, "config.model", ()),
+        ("simulate", {"model": {"dependence": 5}}, "config.model.dependence", ()),
+        ("simulate", {"model": {"premiums": [5, {"kind": "linear", "rate": 1.0}]}},
+         "config.model.premiums[0]", ()),
+        # grids are checked at parse time, not by the solver that reads them
+        ("verify-conditions", {"grids": {"s_grid": VERIFY_S_GRID, "x_grid": [-1, 10]}},
+         "config.grids.x_grid", ()),
+        ("verify-conditions", {"grids": {"s_grid": VERIFY_S_GRID, "x_grid": [10], "d": 0}},
+         "config.grids.d", ()),
+        ("copula-check", {"model": {"dependence": {"kind": "frank-tri", "gamma": math.nan}}},
+         "config.model.dependence", ()),
+        # an unhashable experiment or a non-string output path is a config error, not a crash
+        ("simulate", {"experiment": ["simulate"]}, "config.experiment", ()),
+        ("simulate", {"output_path": 1}, "config.output_path", ()),
+        # command-line overrides apply only after the document's shape is checked
+        ("simulate", [], "config", ("simulate",)),
+        ("simulate", {"model": 5}, "config.model", ("--seed", "3")),
+        ("simulate", {}, "config.model.seed", ("--seed", "-1")),
     ],
     ids=["lemma33-n", "n-paths-zero", "box-width", "seed-negative", "seed-too-large",
          "n-boxes-zero", "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large",
-         "batch-size-inf", "n-max-inf", "t-max-nan"],
+         "batch-size-inf", "n-max-inf", "t-max-nan",
+         "grids-not-object", "model-not-object", "dependence-not-object", "premium-not-object",
+         "verify-x-negative", "verify-d-zero", "gamma-nan",
+         "experiment-not-string", "output-path-not-string",
+         "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative"],
 )
-def test_config_contract_exit_2(tmp_path, experiment, change, path):
+def test_config_contract_exit_2(tmp_path, experiment, change, path, args):
     doc = make_doc(experiment)
-    if "seed" in change:
+    if isinstance(change, list):
+        doc = change
+    elif "seed" in change:
         doc["model"]["seed"] = change["seed"]
-    elif "model" in change:
+    elif isinstance(change.get("model"), dict):
         doc["model"].update(change["model"])
     else:
         doc.update(change)
-    res = run_cli(tmp_path, doc)
+    res = run_cli(tmp_path, doc, *args)
     assert res.returncode == 2, res.stderr
     assert path in res.stderr
+    assert res.stderr.count(path) == 1, res.stderr  # named once, not wrapped twice
 
 
 def test_largest_seed_accepted(tmp_path):

@@ -1,6 +1,11 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from renewalrisk.cli import EXPERIMENTS, parse_config
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -24,3 +29,12 @@ def test_run_counterexample_prints_every_block():
     blocks = [line.split() for line in lines[2:]]
     assert [int(b[0]) for b in blocks] == list(range(1, 9)), lines
     assert all(len(b) == 5 for b in blocks), lines
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (SCRIPTS / "configs").glob("*.json")))
+def test_shipped_config_passes_the_contract(name):
+    # the README tells users to run these; a tightened parser must not reject them
+    doc = json.loads((SCRIPTS / "configs" / name).read_text())
+    cfg = parse_config(doc)
+    assert cfg["experiment"] == doc["experiment"]
+    assert all(grid in cfg["grids"] for grid in EXPERIMENTS[cfg["experiment"]])
