@@ -12,11 +12,21 @@ roughness, so it is evaluated at cell midpoints against the measures'
 cell increments.  The cross term's two convolution sums go through the
 real-FFT helper ``renewal._conv_head``, so a call on K grid cells costs
 O(K log K) instead of the O(K^2) of a direct sum.
+
+The result is claimed uniformly in t, so a box is evaluated over a whole
+t grid.  Every array built for a horizon t is a prefix of the one built
+for the largest horizon, and so is the head of their convolution; one
+pass per box therefore builds the terms and the FFT heads once, and each
+t reads its cross and diagonal terms as sums over prefixes.  Those sums
+are numpy's pairwise ``.sum()``, not ``np.dot``: numpy hands a float dot
+to BLAS, and a threaded BLAS splits a long 1-D dot across cores, where
+it stalls for milliseconds whenever another process holds one of them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,11 +78,11 @@ def theorem_rhs(
     f2: Marginal,
     box: Box2,
     r: float,
-    t: float,
+    t: float | Sequence[float],
     tilted_1: TiltedMeasure,
     tilted_2: TiltedMeasure,
     tilted_joint: TiltedMeasure,
-) -> AsymptoticValue:
+) -> AsymptoticValue | list[AsymptoticValue]:
     """Evaluate the asymptotic right-hand side at horizon t.
 
     cross_term integrates P(X1 e^{-r(u+v)} in box1) P(X2 e^{-rv} in box2)
@@ -80,40 +90,49 @@ def theorem_rhs(
     u + v <= t (midpoint rule, boundary cells included fully);
     diagonal_term integrates the product of both scaled window
     probabilities at a common time against the jointly-tilted measure.
+
+    Returns one AsymptoticValue for a scalar t.  ``t`` may also be a
+    sequence of horizons, in any order and with repeats; the result is
+    then a list with one value per horizon, each built from prefixes of
+    one pass up to the largest horizon.
     """
     grid = tilted_1.grid
     h = grid.step
-    if not 0.0 <= t <= grid.t_max + 0.5 * h:
-        raise ValueError(f"t={t} outside the tilted-measure grid [0, {grid.t_max}]")
+    ts = [float(t)] if np.ndim(t) == 0 else [float(v) for v in t]
+    for tv in ts:
+        if not 0.0 <= tv <= grid.t_max + 0.5 * h:
+            raise ValueError(f"t={tv} outside the tilted-measure grid [0, {grid.t_max}]")
     for tm in (tilted_2, tilted_joint):
         if tm.grid.step != h or len(tm.increments) != len(tilted_1.increments):
             raise ValueError("tilted measures must share one grid")
-    k_t = round(t / h)
-    if k_t == 0:
-        return AsymptoticValue(0.0, 0.0, 0.0)
-    inc1 = tilted_1.increments[1 : k_t + 1]
-    inc2 = tilted_2.increments[1 : k_t + 1]
-    incj = tilted_joint.increments[1 : k_t + 1]
-    mids = h * (np.arange(1, k_t + 1) - 0.5)
+    # per horizon: k_t cells, and the cell-pair sums j + k = s, which live at
+    # u + v = (s - 1) h, admitted for s <= s_cap with (s - 1) h <= t (boundary
+    # cells included fully); s_cap - 1 <= k_t, so every head below only reads
+    # cells 1..k_t and is the prefix of the head at the largest horizon
+    k_ts = [round(tv / h) for tv in ts]
+    n_cross = [max(min(int(tv / h + 1 + 1e-9), 2 * k) - 1, 0) for tv, k in zip(ts, k_ts)]
+    k_max, n_max = max(k_ts), max(n_cross)
 
+    inc1 = tilted_1.increments[1 : k_max + 1]
+    inc2 = tilted_2.increments[1 : k_max + 1]
+    incj = tilted_joint.increments[1 : k_max + 1]
+    mids = h * (np.arange(1, k_max + 1) - 0.5)
     p1_mid = scaled_local_prob(f1, box.window1, r, mids)
     p2_mid = scaled_local_prob(f2, box.window2, r, mids)
+    diag_terms = p1_mid * p2_mid * incj
 
-    # cell-pair sums j + k = s live at u + v = (s - 1) h; admit s with
-    # (s - 1) h <= t, i.e. include the boundary cells fully
-    s_cap = min(int(t / h + 1 + 1e-9), 2 * k_t)
-    if s_cap >= 2:
-        tau = h * np.arange(1, s_cap)  # u + v for s = 2..s_cap
-        p1_sum = scaled_local_prob(f1, box.window1, r, tau)
-        p2_sum = scaled_local_prob(f2, box.window2, r, tau)
-        conv_a = _conv_head(inc1, p2_mid * inc2, s_cap - 1)
-        conv_b = _conv_head(p1_mid * inc1, inc2, s_cap - 1)
-        cross = float(np.dot(p1_sum, conv_a) + np.dot(p2_sum, conv_b))
-    else:
-        cross = 0.0
+    tau = h * np.arange(1, n_max + 1)  # u + v for s = 2..s_cap
+    conv_a = _conv_head(inc1, p2_mid * inc2, n_max)
+    conv_b = _conv_head(p1_mid * inc1, inc2, n_max)
+    cross_terms = scaled_local_prob(f1, box.window1, r, tau) * conv_a
+    cross_terms += scaled_local_prob(f2, box.window2, r, tau) * conv_b
 
-    diagonal = float(np.dot(p1_mid * p2_mid, incj))
-    return AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal)
+    # pairwise .sum(), not np.dot: see the module docstring on BLAS
+    values = []
+    for k, n in zip(k_ts, n_cross):
+        cross, diagonal = float(cross_terms[:n].sum()), float(diag_terms[:k].sum())
+        values.append(AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal))
+    return values[0] if np.ndim(t) == 0 else values
 
 
 def net_loss_window_shift(box: Box2, premium_rates: tuple[float, float], r: float, t: float) -> Box2:

@@ -190,6 +190,8 @@ def _grids(doc: dict, experiment: str, t_max: float) -> dict:
             grids[name] = vals
     if any(t <= 0 or t > t_max for t in grids.get("t_grid", ())):
         raise ConfigError(f"config.grids.t_grid: values must lie in (0, t_max={t_max}]")
+    if any(s < 0 or s > t_max for s in grids.get("s_grid", ())):
+        raise ConfigError(f"config.grids.s_grid: values must lie in [0, t_max={t_max}]")
     if any(x < 0 for x in grids.get("x_grid", ())):
         raise ConfigError("config.grids.x_grid: values must be >= 0")
     grids["d"] = _num(grids_doc, "d", "config.grids", required=False, default=1.0)
@@ -229,6 +231,10 @@ def parse_config(doc: dict, experiment: str | None = None, seed: int | None = No
         if not isinstance(prem_doc, list) or len(prem_doc) != 2:
             raise ConfigError("config.model.premiums: expected a list of exactly two premium objects")
         premiums = tuple(parse_premium(p, f"config.model.premiums[{i}]") for i, p in enumerate(prem_doc))
+        # no experiment scores the net loss yet, so a premium would be ignored silently
+        if premiums != (Linear(0.0), Linear(0.0)):
+            raise ConfigError("config.model.premiums: no experiment uses premiums yet; "
+                              "only linear premiums of rate 0 are accepted")
     seed_doc = model_doc if seed is None else {"seed": seed}
     seed = _int(seed_doc, "seed", "config.model", default=0, lo=0, hi=2**64)
     batch_size = _int(model_doc, "batch_size", "config.model", default=2_000_000, lo=1)

@@ -441,8 +441,15 @@ class FrankTri(_Frank):
         # logarithmic-series frailty: exact and O(1) per draw
         p = -math.expm1(-self.gamma)
         frail = rng.logseries(p, size=n).astype(float)
-        e = rng.standard_exponential((3, n))
-        vals = -np.log1p(self._alpha * np.exp(-e / frail)) / self.gamma
+        # -log1p(alpha exp(-E / frail)) / gamma, in place on one (3, n)
+        # buffer; negation is exact, so the order of signs leaves every bit
+        vals = rng.standard_exponential((3, n))
+        vals /= frail
+        np.negative(vals, out=vals)
+        np.exp(vals, out=vals)
+        vals *= self._alpha
+        np.log1p(vals, out=vals)
+        vals /= -self.gamma
         return vals[0], vals[1], vals[2]
 
     def sample_uniform_conditional(self, rng, n):

@@ -346,19 +346,20 @@ def uniformity_scan(config, t_grid, boxes, tilted_triplet=None, n_paths: int | N
     """The (t, box) table: one row per cell in ``SCAN_COLUMNS`` order, boxes outermost.
 
     Given ``n_paths``, one simulate_grid pass fills the empirical columns;
-    given the tilted triplet, theorem_rhs fills the asymptotic ones; ratio
-    (empirical over asymptotic total) needs both.  Columns whose input is
-    missing stay None.  With boxes the squares (x, x+d]^2 along growing
-    levels x, the max-over-t deviation of the ratio from 1 should shrink
-    along x.
+    given the tilted triplet, one theorem_rhs pass per box fills the
+    asymptotic ones; ratio (empirical over asymptotic total) needs both.
+    Columns whose input is missing stay None.  With boxes the squares
+    (x, x+d]^2 along growing levels x, the max-over-t deviation of the
+    ratio from 1 should shrink along x.
     """
     hits = None if n_paths is None else simulate_grid(config, t_grid, boxes, n_paths, threads=threads)
     rows = []
     for j, box in enumerate(boxes):
-        for i, t in enumerate(t_grid):
-            asym = est = ratio = None
-            if tilted_triplet is not None:
-                asym = theorem_rhs(config.f1, config.f2, box, config.r, t, *tilted_triplet)
+        asyms = [None] * len(t_grid)
+        if tilted_triplet is not None:
+            asyms = theorem_rhs(config.f1, config.f2, box, config.r, t_grid, *tilted_triplet)
+        for i, (t, asym) in enumerate(zip(t_grid, asyms)):
+            est = ratio = None
             if hits is not None:
                 est = Estimate.from_hits(int(hits[i, j]), n_paths)
             if asym is not None and est is not None:

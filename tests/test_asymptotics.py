@@ -25,6 +25,8 @@ def _direct_theorem_rhs(f1, f2, box, r, t, tilted_1, tilted_2, tilted_joint):
     """Reference evaluator: the same cells summed by direct convolution, O(K^2)."""
     h = tilted_1.grid.step
     k_t = round(t / h)
+    if k_t == 0:
+        return AsymptoticValue(0.0, 0.0, 0.0)
     inc1, inc2, incj = (tm.increments[1 : k_t + 1] for tm in (tilted_1, tilted_2, tilted_joint))
     mids = h * (np.arange(1, k_t + 1) - 0.5)
     p1_mid = scaled_local_prob(f1, box.window1, r, mids)
@@ -37,6 +39,12 @@ def _direct_theorem_rhs(f1, f2, box, r, t, tilted_1, tilted_2, tilted_joint):
                   + np.dot(scaled_local_prob(f2, box.window2, r, tau), conv_b))
     diagonal = float(np.dot(p1_mid * p2_mid, incj))
     return AsymptoticValue(cross + diagonal, cross, diagonal)
+
+
+def _assert_values_close(got, want, rel):
+    for a, b in zip((got.total, got.cross_term, got.diagonal_term),
+                    (want.total, want.cross_term, want.diagonal_term)):
+        assert a == pytest.approx(b, rel=rel, abs=0)
 
 
 def test_box_validation():
@@ -100,8 +108,9 @@ def test_t_outside_grid_raises():
     f = Pareto(1.0)
     box = Box2(10.0, 10.0, 2.0, 2.0)
     t1, t2, tj = poisson_tilted(t_max=1.0, h=1e-3)
-    with pytest.raises(ValueError):
-        theorem_rhs(f, f, box, 0.0, 2.0, t1, t2, tj)
+    for t in (2.0, [0.5, 2.0, 1.0], [0.5, -0.1]):
+        with pytest.raises(ValueError):
+            theorem_rhs(f, f, box, 0.0, t, t1, t2, tj)
 
 
 def test_mismatched_grids_raise():
@@ -145,7 +154,38 @@ def test_theorem_rhs_matches_direct_convolution(x):
     box = Box2(x, x, 5.0, 5.0)
     for t in (0.5, 1.0, 1.5, 2.0):
         val = theorem_rhs(f1, f2, box, 0.05, t, *tms)
-        ref = _direct_theorem_rhs(f1, f2, box, 0.05, t, *tms)
-        for got, want in zip((val.total, val.cross_term, val.diagonal_term),
-                             (ref.total, ref.cross_term, ref.diagonal_term)):
-            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        _assert_values_close(val, _direct_theorem_rhs(f1, f2, box, 0.05, t, *tms), rel=1e-12)
+
+
+def test_theorem_rhs_t_sequence_matches_scalar_calls():
+    # one pass up to the largest t serves a t list in any order with repeats;
+    # 0.73215 / h ends in .5 and 1.23452 / h in .2, the two s_cap boundary rules
+    f1, f2 = Pareto(1.0), Pareto(2.0)
+    grid = renewal_function(Exponential(1.0), 2.0, 1e-4)  # K = 2e4 cells
+    tms = tilted_triplet(grid, FrankTri(f1, f2, Exponential(1.0), 1.0))
+    box = Box2(20.0, 20.0, 5.0, 5.0)
+    ts = [1.23452, 0.0, 0.73215, 2.00004, 0.73215, 1e-5, 0.5]
+    vals = theorem_rhs(f1, f2, box, 0.05, ts, *tms)
+    assert isinstance(vals, list) and len(vals) == len(ts)
+    for t, val in zip(ts, vals):
+        _assert_values_close(val, theorem_rhs(f1, f2, box, 0.05, t, *tms), rel=1e-13)
+        _assert_values_close(val, _direct_theorem_rhs(f1, f2, box, 0.05, t, *tms), rel=1e-12)
+    assert vals[1] == AsymptoticValue(0.0, 0.0, 0.0)
+    assert vals[2] == vals[4]
+
+
+def test_theorem_rhs_calls_no_blas(monkeypatch):
+    # a threaded BLAS splits long 1-D dots across cores and stalls when one is
+    # busy; the reductions are plain sums, so no BLAS entry point may be reached
+    def no_blas(*args, **kwargs):
+        raise AssertionError("theorem_rhs reached a BLAS reduction")
+
+    f = Pareto(1.0)
+    tms = poisson_tilted(t_max=2.0, h=5e-5)  # K = 4e4 cells
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, no_blas)
+    box = Box2(10.0, 10.0, 5.0, 5.0)
+    top = theorem_rhs(f, f, box, 0.05, 2.0, *tms)
+    vals = theorem_rhs(f, f, box, 0.05, [0.5, 1.0, 1.5, 2.0], *tms)
+    assert all(a.total < b.total for a, b in zip(vals, vals[1:]))
+    assert vals[-1].total == pytest.approx(top.total, rel=1e-13)

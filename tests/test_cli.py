@@ -244,6 +244,15 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
          "config.grids.x_grid", ()),
         ("verify-conditions", {"grids": {"s_grid": VERIFY_S_GRID, "x_grid": [10], "d": 0}},
          "config.grids.d", ()),
+        ("verify-conditions", {"grids": {"s_grid": [-1.0, 0.5], "x_grid": [10]}},
+         "config.grids.s_grid", ()),
+        ("verify-conditions", {"grids": {"s_grid": [0.0, 50.0], "x_grid": [10]}},
+         "config.grids.s_grid", ()),
+        # no experiment scores the net loss yet, so a premium is rejected, not ignored
+        ("renewal", {"model": {"premiums": [{"kind": "linear", "rate": 3.0}, {"kind": "linear", "rate": 0.0}]}},
+         "config.model.premiums", ()),
+        ("compare", {"model": {"premiums": [{"kind": "linear", "rate": 3.0}, {"kind": "linear", "rate": 3.0}]}},
+         "config.model.premiums", ()),
         ("copula-check", {"model": {"dependence": {"kind": "frank-tri", "gamma": math.nan}}},
          "config.model.dependence", ()),
         # an unhashable experiment or a non-string output path is a config error, not a crash
@@ -258,7 +267,8 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
          "n-boxes-zero", "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large",
          "batch-size-inf", "n-max-inf", "t-max-nan",
          "grids-not-object", "model-not-object", "dependence-not-object", "premium-not-object",
-         "verify-x-negative", "verify-d-zero", "gamma-nan",
+         "verify-x-negative", "verify-d-zero", "verify-s-negative", "verify-s-beyond-t-max",
+         "renewal-premium", "compare-premium", "gamma-nan",
          "experiment-not-string", "output-path-not-string",
          "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative"],
 )
