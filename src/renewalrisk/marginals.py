@@ -61,7 +61,7 @@ class Marginal:
 
     def _check_p(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any((p < 0.0) | (p >= 1.0)):
+        if not np.all((p >= 0.0) & (p < 1.0)):  # written so that NaN fails too
             raise ValueError("quantile argument must lie in [0, 1)")
         return p
 

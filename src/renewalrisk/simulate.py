@@ -6,10 +6,12 @@ pair; estimators are plain hit counters with binomial confidence
 intervals (Clopper-Pearson at low counts).
 
 Every estimator runs on one streaming kernel, `_stream_paths`.  It keeps
-only the state of the paths still alive and passes each path's state to
-the estimator's scoring function once for every run of grid times its
-clock moves past, so a whole (t, box) grid is scored in a single pass
-over the paths.  The paths scored in one round have all made that
+the state of the paths still alive as the rows of one matrix, compacted
+once per arrival round, and knows only the horizon.  Each round it
+passes every alive path's state, with the interval [t_from, t_to) over
+which the path holds it, to the estimator's scoring function, which
+picks the times it needs; so a whole (t, box) grid is scored in a
+single pass over the paths.  The paths of one round have all made that
 round's number of arrivals, so the arrival count N(t) is one integer
 per call rather than a per-path array.  The cells of one run share
 common random numbers (their estimates are correlated, never biased),
@@ -232,59 +234,64 @@ def _run_batches(worker, n_paths: int, batch_size: int, threads: int):
     return slots
 
 
-def _stream_paths(config: ModelConfig, rng, n: int, t_grid: np.ndarray, score,
+def _stream_paths(config: ModelConfig, rng, n: int, t_top: float, score,
                   claims: int = 0, carry=None) -> None:
-    """Run n paths to the horizon t_grid[-1], scoring their states as clocks pass grid times.
+    """Run n paths to the horizon t_top, scoring every alive path once per round.
 
-    Each round draws one triple per alive path and moves its clock to the
-    next arrival; an arrival at time s counts at every grid time >= s.
-    Paths whose clocks just passed grid times t_grid[g..b-1] held one
-    state at all of them, so they are scored once, by
-    ``score(g, b, state, count)`` with g and b arrays over those paths:
+    Each round draws one triple per alive path and moves its clock from
+    its last arrival ``t_from`` to its next one ``t_to``; an arrival at
+    time s counts at every t >= s, so a path holds one state at every t
+    in [t_from, t_to).  Before the claims of ``t_to`` are added, every
+    alive path is scored by ``score(t_from, t_to, state, count)``:
     ``state`` maps "d1", "d2" (discounted claim sums) to arrays over the
-    same paths, plus "v1" and "v2" (the first ``claims`` discounted
-    claims, zero-padded, shape (paths, claims)) if ``claims``, and the
-    entries of ``carry`` (per-path arrays given in batch order).  All
-    paths scored in one round share their arrival count N(t), the round
-    number, which is passed as ``count``.  Every path is scored up to its
-    last grid time, ending with b = len(t_grid).
+    alive paths, plus "v1" and "v2" (the first ``claims`` discounted
+    claims, zero-padded, shape (claims, paths)) if ``claims``, and the
+    entries of ``carry`` (per-path arrays in batch order, or scalars).
+    ``count`` is the round number, the arrival count N(t) on [t_from,
+    t_to) of every path.  A path is scored until t_to passes t_top, so
+    its rounds cover [0, t_top]; the scorer picks the times it needs.
 
-    Alive paths stay in batch order, compacted with boolean masks, so the
-    draws depend on the batch alone.  ``score`` must not modify or keep
-    the arrays it is given.
+    The per-path state is one float matrix, a row per quantity.  The
+    round's discounted claims are added to every alive path in place, and
+    then all rows are compacted together by one index of the paths whose
+    clocks are still <= t_top.  Paths stay in batch order, so the draws
+    depend on the batch alone.  ``score`` must not modify or keep the
+    arrays it is given.
     """
-    t_top = float(t_grid[-1])
-    clock = np.zeros(n)
-    first = np.zeros(n, dtype=np.intp)  # first grid time not yet passed
-    state = {"d1": np.zeros(n), "d2": np.zeros(n), **(carry or {})}
-    if claims:
-        state["v1"], state["v2"] = np.zeros((n, claims)), np.zeros((n, claims))
+    carry = carry or {}
+    v0 = 3 + len(carry)  # rows: clock, d1, d2, carry entries, v1 block, v2 block
+    rows = np.zeros((v0 + 2 * claims, n))
+    for i, value in enumerate(carry.values(), 3):
+        rows[i] = value
     for round_no in range(MAX_ARRIVALS + 1):
-        x1, x2, theta = config.dependence.sample_triple(rng, clock.size)
-        clock += theta
-        del theta  # not held through the next round's draw
-        stop = np.searchsorted(t_grid, clock, side="left")
-        passed = stop > first
-        if passed.all():
-            score(first, stop, state, round_no)
-        elif passed.any():
-            score(first[passed], stop[passed], {k: v[passed] for k, v in state.items()}, round_no)
-        alive = clock <= t_top
-        if not alive.all():
-            clock, stop = clock[alive], stop[alive]
-            x1, x2 = np.asarray(x1)[alive], np.asarray(x2)[alive]
-            for k, v in state.items():
-                state[k] = v[alive]
-            if clock.size == 0:
-                return
-        first = stop
-        disc = np.exp(-config.r * clock) if config.r > 0 else 1.0
-        y1, y2 = x1 * disc, x2 * disc
-        state["d1"] += y1
-        state["d2"] += y2
+        live = rows[:, :n]
+        clock, d1, d2 = live[0], live[1], live[2]
+        state = {"d1": d1, "d2": d2, **{k: live[i] for i, k in enumerate(carry, 3)}}
+        if claims:
+            state["v1"], state["v2"] = live[v0:v0 + claims], live[v0 + claims:]
+        x1, x2, t_to = config.dependence.sample_triple(rng, n)
+        t_to += clock
+        score(clock, t_to, state, round_no)
+        keep = np.flatnonzero(t_to <= t_top)
+        if keep.size == 0:
+            return
+        if config.r > 0:
+            disc = np.exp(-config.r * t_to)
+            x1 *= disc
+            x2 *= disc
+            del disc
+        d1 += x1
+        d2 += x2
         if round_no < claims:
-            state["v1"][:, round_no] = y1
-            state["v2"][:, round_no] = y2
+            state["v1"][round_no] = x1
+            state["v2"][round_no] = x2
+        if keep.size < n:
+            n = keep.size
+            t_to = t_to[keep]
+            for row in live[1:]:
+                row[:n] = row[keep]
+        live[0, :n] = t_to
+        del x1, x2, t_to  # not held through the next round's draw
     raise RuntimeError(f"a path exceeded {MAX_ARRIVALS} arrivals; check G")
 
 
@@ -300,10 +307,12 @@ def simulate_grid(config: ModelConfig, t_grid, boxes, n_paths: int, threads: int
     Returns an integer array of shape (len(t_grid), len(boxes)), rows in
     the order of ``t_grid``; each cell's estimate uses all n_paths paths
     (common random numbers across cells, which only correlates the
-    estimates, never biases them).  Each batch is one pass of the paths:
-    a path's state is scored once per box for every run of grid times
-    it holds, into a difference array over the grid that one cumsum
-    turns into counts.
+    estimates, never biases them).  Each batch is one pass of the paths.
+    Each round, the paths past the lowest corner of every box are the
+    candidates (a few percent); a candidate in a box counts at the grid
+    times in [t_from, t_to), added to a difference array over the grid
+    that one cumsum turns into counts.  A run that holds no grid time
+    adds and takes one at the same slot, so it leaves the counts alone.
     """
     times = np.asarray(t_grid, dtype=float)
     grid = np.unique(times)
@@ -311,18 +320,26 @@ def simulate_grid(config: ModelConfig, t_grid, boxes, n_paths: int, threads: int
         raise ValueError("t_grid must lie in (0, t_max]")
     boxes = list(boxes)
     m = len(grid)
+    lo1 = min((box.x1 for box in boxes), default=math.inf)
+    lo2 = min((box.x2 for box in boxes), default=math.inf)
 
     def worker(batch_index: int, batch_n: int):
         rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
         diff = np.zeros((len(boxes), m + 1), dtype=np.int64)
 
-        def score(first, stop, state, count):
+        def score(t_from, t_to, state, count):
+            cand = np.flatnonzero((state["d1"] > lo1) & (state["d2"] > lo2))
+            if cand.size == 0:
+                return
+            d1, d2 = state["d1"][cand], state["d2"][cand]
+            first = np.searchsorted(grid, t_from[cand], side="left")
+            stop = np.searchsorted(grid, t_to[cand], side="left")
             for j, box in enumerate(boxes):
-                hit = _in_box(state["d1"], state["d2"], box)
+                hit = _in_box(d1, d2, box)
                 diff[j] += np.bincount(first[hit], minlength=m + 1)
                 diff[j] -= np.bincount(stop[hit], minlength=m + 1)
 
-        _stream_paths(config, rng, batch_n, grid, score)
+        _stream_paths(config, rng, batch_n, grid[-1], score)
         return np.cumsum(diff[:, :m], axis=1).T
 
     hits = np.sum(_run_batches(worker, n_paths, config.batch_size, threads), axis=0)
@@ -393,13 +410,15 @@ def simulate_net_loss(
     def worker(batch_index: int, batch_n: int):
         rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
         s1, s2 = _premium_values(config, batch_index, batch_n, t)
-        carry = {"s1": np.broadcast_to(s1, batch_n), "s2": np.broadcast_to(s2, batch_n)}
         hits = np.zeros(1, dtype=np.int64)
 
-        def score(first, stop, state, count):
-            hits[0] += np.count_nonzero(_in_box(state["d1"] - state["s1"], state["d2"] - state["s2"], target))
+        def score(t_from, t_to, state, count):
+            at_t = t_to > t
+            net1 = state["d1"][at_t] - state["s1"][at_t]
+            net2 = state["d2"][at_t] - state["s2"][at_t]
+            hits[0] += np.count_nonzero(_in_box(net1, net2, target))
 
-        _stream_paths(config, rng, batch_n, np.array([t]), score, carry=carry)
+        _stream_paths(config, rng, batch_n, t, score, carry={"s1": s1, "s2": s2})
         return int(hits[0])
 
     slots = _run_batches(worker, n_paths, config.batch_size, threads)
@@ -444,13 +463,15 @@ def lemma33_check(
         # per box: lhs hits, rhs sum, rhs positive paths, rhs sum of squares
         tally = np.zeros((len(boxes), 4), dtype=np.int64)
 
-        def score(first, stop, state, count):
+        def score(t_from, t_to, state, count):
             if count != n:
                 return
-            s1, s2, v1, v2 = state["d1"], state["d2"], state["v1"], state["v2"]
+            at_t = t_to > t  # N(t) = n on these paths
+            s1, s2 = state["d1"][at_t], state["d2"][at_t]
+            v1, v2 = state["v1"][:, at_t], state["v2"][:, at_t]
             for j, b in enumerate(boxes):
-                in1 = ((v1 > b.x1) & (v1 <= b.x1 + b.d1)).sum(axis=1)
-                in2 = ((v2 > b.x2) & (v2 <= b.x2 + b.d2)).sum(axis=1)
+                in1 = ((v1 > b.x1) & (v1 <= b.x1 + b.d1)).sum(axis=0)
+                in2 = ((v2 > b.x2) & (v2 <= b.x2 + b.d2)).sum(axis=0)
                 pair_count = in1 * in2
                 tally[j] += (
                     np.count_nonzero(_in_box(s1, s2, b)),
@@ -459,7 +480,7 @@ def lemma33_check(
                     np.dot(pair_count, pair_count),
                 )
 
-        _stream_paths(config, rng, batch_n, np.array([t]), score, claims=n)
+        _stream_paths(config, rng, batch_n, t, score, claims=n)
         return tally
 
     tallies = np.sum(_run_batches(worker, n_paths, config.batch_size, threads), axis=0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renewalrisk.counterexample import CounterexampleF
 from renewalrisk.marginals import (
     Deterministic,
     Exponential,
@@ -113,6 +114,19 @@ def test_quantile_rejects_bad_p():
         Pareto(1.0).quantile(1.0)
     with pytest.raises(ValueError):
         Exponential(1.0).quantile(-0.01)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Pareto(1.0), Exponential(1.0), Weibull(0.5), CounterexampleF(n_max=3), Deterministic(1.5)],
+    ids=lambda d: type(d).__name__,
+)
+def test_quantile_rejects_nan(dist):
+    # a NaN fails every comparison, so the range check must be written to fail on it
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        dist.quantile(math.nan)
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        dist.quantile(np.array([0.5, math.nan]))
 
 
 def test_parameter_validation():

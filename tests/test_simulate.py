@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,14 +260,59 @@ GRID = [0.5, 1.0, 1.5, 2.0]
         # arrivals land exactly on grid times: pins "an arrival at s counts at t >= s"
         (Independent(P1, P1, Deterministic(0.5)), 0.0,
          [Box2(1.0, 1.0, 5.0, 5.0), Box2(3.0, 3.0, 20.0, 20.0), Box2(0.0, 0.0, 1e15, 1e15)]),
+        # the lowest corners (2, 2) come from different boxes, so the
+        # candidate prefilter d1 > 2, d2 > 2 passes paths in neither box
+        (FrankTri(P1, P1, E1, 1.0), 0.05, [Box2(2.0, 8.0, 5.0, 5.0), Box2(8.0, 2.0, 5.0, 5.0)]),
     ],
-    ids=["frank-discounted", "deterministic-on-grid"],
+    ids=["frank-discounted", "deterministic-on-grid", "frank-crossed-corners"],
 )
 def test_grid_matches_naive_reference(dep, r, boxes):
     cfg = make_config(dep=dep, r=r, batch=30_000)
     want = _naive_grid_hits(cfg, GRID, boxes, 70_000)
     assert want.min() > 100  # every cell is exercised
     np.testing.assert_array_equal(simulate_grid(cfg, GRID, boxes, 70_000), want)
+
+
+def test_grid_without_boxes_keeps_its_shape():
+    cfg = make_config(batch=30_000)
+    assert simulate_grid(cfg, GRID, [], 50_000).shape == (len(GRID), 0)
+
+
+# the compare-frank benchmark workload (perfbench/workloads/compare-frank.json)
+# with 2e5 paths
+COMPARE_FRANK_BOXES = [Box2(x, x, 5.0, 5.0) for x in (10.0, 20.0, 40.0)]
+
+
+def compare_frank_config(batch):
+    return ModelConfig(dependence=FrankTri(P1, P1, E1, 1.0), t_max=2.0, r=0.05, seed=7, batch_size=batch)
+
+
+@pytest.mark.parametrize(
+    "batch, threads, want",
+    [
+        (500_000, 1, [[86, 8, 1], [330, 36, 3], [644, 69, 10], [1032, 125, 13]]),
+        (70_000, 2, [[80, 9, 1], [289, 34, 1], [599, 73, 7], [1058, 117, 9]]),
+    ],
+    ids=["one-batch", "three-batches"],
+)
+def test_compare_frank_golden_hits(batch, threads, want):
+    # a kernel rewrite must keep the draws, and so these counts, bit for bit
+    hits = simulate_grid(compare_frank_config(batch), GRID, COMPARE_FRANK_BOXES, 200_000, threads=threads)
+    np.testing.assert_array_equal(hits, want)
+
+
+def test_grid_batch_memory_is_bounded():
+    n = 200_000
+    cfg = compare_frank_config(n)
+    simulate_grid(cfg, GRID, COMPARE_FRANK_BOXES, 1_000)  # warm up
+    tracemalloc.start()
+    try:
+        simulate_grid(cfg, GRID, COMPARE_FRANK_BOXES, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # sampler buffers plus the three-row state: about 10 float arrays of batch size
+    assert peak <= 12 * 8 * n
 
 
 def test_grid_rows_follow_caller_order():
