@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -131,12 +132,14 @@ def parse_dependence(doc, f1, f2, g, path: str) -> DependenceSpec:
         if kind == "nested-frank-product":
             gamma = _num(doc, "gamma", path)
             spec = NestedFrankProduct(f1, f2, g, gamma)
-            if gamma >= 1:
+            if gamma > 1:
+                raise ConfigError(f"{path}.gamma: the nested-product structure is a valid "
+                                  f"copula only for 0 < gamma <= 1, got {gamma}")
+            if gamma == 1:
                 print(
                     f"warning: {path}.gamma = {gamma}: the nested-product "
                     "structure needs 0 < gamma < 1 for a positive lower "
-                    "bound of the cross-conditional weight (and is not a "
-                    "valid copula beyond 1)",
+                    "bound of the cross-conditional weight",
                     file=sys.stderr,
                 )
             return spec
@@ -176,6 +179,16 @@ EXPERIMENTS = {
     "renewal": (), "copula-check": (), "counterexample": (),
     "verify-conditions": ("s_grid", "x_grid"), "lemma33": ("t_grid",),
 }
+
+
+#: the largest frank-tri gamma an experiment accepts.  The quadrature side
+#: holds to 1e-6 relative up to gamma = 20 (against mpmath at 50 digits): the
+#: conditional window probabilities and g_ij lose about eps e^gamma to
+#: cancellation (2e-7 at gamma = 20, 2e-6 at 22), and the tilted g measure
+#: turns negative by gamma = 25.  The Monte Carlo-only experiments need just
+#: the sampler, which holds while e^-gamma is a normal double.
+FRANK_QUADRATURE_GAMMA_MAX = 20.0
+FRANK_GAMMA_MAX = {"simulate": 700.0, "lemma33": 700.0, "counterexample": math.inf}
 
 
 def _grids(doc: dict, experiment: str, t_max: float) -> dict:
@@ -257,6 +270,10 @@ def parse_config(doc: dict, experiment: str | None = None, seed: int | None = No
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError(f"config.experiment: unknown experiment {experiment!r} (expected one of {', '.join(EXPERIMENTS)})")
 
+    gamma_max = FRANK_GAMMA_MAX.get(experiment, FRANK_QUADRATURE_GAMMA_MAX)
+    if isinstance(dep, FrankTri) and dep.gamma > gamma_max:
+        raise ConfigError(f"config.model.dependence.gamma: {experiment} with frank-tri "
+                          f"needs gamma <= {gamma_max:g}, got {dep.gamma}")
     grids = _grids(doc, experiment, model.t_max)
     renewal_step = _num(doc, "renewal_step", "config", required=False, default=model.t_max / 2000)
     if not 0 < renewal_step <= model.t_max / 10:

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -340,6 +341,26 @@ def _lam(gamma, t):
     return np.expm1(-gamma * np.asarray(t, dtype=float))
 
 
+def _log1mexp(x):
+    """log(1 - e^-x) for x > 0 without cancellation at either end (Maechler 2012)."""
+    with np.errstate(divide="ignore"):  # log1p(-1) where the other branch is taken
+        return np.where(x <= _LN2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
+
+
+def _frank_frailty(rng, gamma: float, n: int) -> np.ndarray:
+    """n logarithmic-series variates, P(K = k) = p^k / (k gamma) with p = 1 - e^-gamma.
+
+    Kemp's (1981) LK method: with V, U uniform on (0, 1],
+    K = floor(1 + log V / log(1 - e^{-gamma U})), a geometric variate
+    mixed over U.  It needs no p, so it holds where p rounds to 1, and
+    both ends of (0, 1] give a finite K >= 1 while e^-gamma is a normal
+    double.  Returned as floats.
+    """
+    v, x = 1.0 - rng.random((2, n))
+    x *= gamma
+    return np.floor(1.0 + np.log(v) / _log1mexp(x))
+
+
 @dataclass(frozen=True)
 class _Frank(DependenceSpec):
     """Frank algebra shared by both Frank variants: lam(t) = expm1(-gamma t), alpha = lam(1)."""
@@ -438,17 +459,17 @@ class FrankTri(_Frank):
         return (num / ((a**2 + lu2 * c) ** 2 * (a**2 + lu1 * c) ** 2))[()]
 
     def sample_uniform(self, rng, n):
-        # logarithmic-series frailty: exact and O(1) per draw
-        p = -math.expm1(-self.gamma)
-        frail = rng.logseries(p, size=n).astype(float)
-        # -log1p(alpha exp(-E / frail)) / gamma, in place on one (3, n)
-        # buffer; negation is exact, so the order of signs leaves every bit
+        # Marshall-Olkin: a logarithmic-series frailty K, then the generator
+        # inverse -log(e^-gamma + alpha expm1(-E / K)) / gamma in place on one
+        # (3, n) buffer; both terms of the sum are >= 0, so nothing cancels
+        frail = _frank_frailty(rng, self.gamma, n)
         vals = rng.standard_exponential((3, n))
         vals /= frail
         np.negative(vals, out=vals)
-        np.exp(vals, out=vals)
+        np.expm1(vals, out=vals)
         vals *= self._alpha
-        np.log1p(vals, out=vals)
+        vals += math.exp(-self.gamma)
+        np.log(vals, out=vals)
         vals /= -self.gamma
         return vals[0], vals[1], vals[2]
 

@@ -19,9 +19,11 @@ and memory does not grow with the grid.
 
 Reproducibility: the path budget is cut into fixed-size batches and each
 batch owns a counter-based Philox stream keyed by (seed, batch index,
-stream id).  Batch results land in preallocated slots and merge by
-summation, so the result is bit-identical no matter how many worker
-threads execute the batches.
+stream id).  A batch runs as consecutive blocks of BLOCK paths, each to
+the horizon, drawing from the batch's stream in block order, so memory
+stays that of one block at any batch size.  Batch results land in
+preallocated slots and merge by summation, so the result is
+bit-identical no matter how many worker threads execute the batches.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ _CLAIM_STREAM, _PREMIUM_STREAM = 0, 1
 #: hard cap on arrivals per path within the horizon; exceeding it means
 #: G puts mass absurdly close to zero for the requested horizon
 MAX_ARRIVALS = 1_000_000
+
+#: paths per block; a batch runs as consecutive blocks run to the horizon
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -236,6 +241,22 @@ def _run_batches(worker, n_paths: int, batch_size: int, threads: int):
 
 def _stream_paths(config: ModelConfig, rng, n: int, t_top: float, score,
                   claims: int = 0, carry=None) -> None:
+    """Run n paths to the horizon t_top in consecutive blocks of BLOCK paths.
+
+    Each block runs to the horizon (see ``_stream_block``) before the next
+    one starts, drawing from ``rng`` in block order, so a batch's memory is
+    that of one block whatever its size, and its draws depend on the batch
+    alone.  Per-path ``carry`` arrays are sliced to the block's paths.
+    """
+    carry = carry or {}
+    for start in range(0, n, BLOCK):
+        m = min(BLOCK, n - start)
+        part = {k: v[start:start + m] if np.ndim(v) else v for k, v in carry.items()}
+        _stream_block(config, rng, m, t_top, score, claims, part)
+
+
+def _stream_block(config: ModelConfig, rng, n: int, t_top: float, score,
+                  claims: int, carry: dict) -> None:
     """Run n paths to the horizon t_top, scoring every alive path once per round.
 
     Each round draws one triple per alive path and moves its clock from
@@ -246,7 +267,7 @@ def _stream_paths(config: ModelConfig, rng, n: int, t_top: float, score,
     ``state`` maps "d1", "d2" (discounted claim sums) to arrays over the
     alive paths, plus "v1" and "v2" (the first ``claims`` discounted
     claims, zero-padded, shape (claims, paths)) if ``claims``, and the
-    entries of ``carry`` (per-path arrays in batch order, or scalars).
+    entries of ``carry`` (per-path arrays in path order, or scalars).
     ``count`` is the round number, the arrival count N(t) on [t_from,
     t_to) of every path.  A path is scored until t_to passes t_top, so
     its rounds cover [0, t_top]; the scorer picks the times it needs.
@@ -254,11 +275,10 @@ def _stream_paths(config: ModelConfig, rng, n: int, t_top: float, score,
     The per-path state is one float matrix, a row per quantity.  The
     round's discounted claims are added to every alive path in place, and
     then all rows are compacted together by one index of the paths whose
-    clocks are still <= t_top.  Paths stay in batch order, so the draws
-    depend on the batch alone.  ``score`` must not modify or keep the
+    clocks are still <= t_top.  Paths stay in order, so the draws depend
+    on n and the stream alone.  ``score`` must not modify or keep the
     arrays it is given.
     """
-    carry = carry or {}
     v0 = 3 + len(carry)  # rows: clock, d1, d2, carry entries, v1 block, v2 block
     rows = np.zeros((v0 + 2 * claims, n))
     for i, value in enumerate(carry.values(), 3):

@@ -391,13 +391,12 @@ def test_criterion_8_net_loss_identity():
 def test_criterion_9_lemma_identity():
     dep = FrankTri(PARETO1, PARETO1, EXP1, 1.0)
     config = ModelConfig(dependence=dep, t_max=2.0, r=0.05, seed=5)
-    ratios, hits = [], []
-    for x in (10.0, 20.0, 40.0):
-        lhs, rhs, ratio = lemma33_check(
-            config, 2, 2.0, Box2(x, x, 20.0, 20.0), 40_000_000, threads=THREADS
-        )
-        ratios.append(ratio)
-        hits.append((lhs.hits, rhs.hits))
+    # one pass scores the three boxes, each as a call with that box alone
+    # would (test_lemma33_boxes_share_one_pass)
+    boxes = [Box2(x, x, 20.0, 20.0) for x in (10.0, 20.0, 40.0)]
+    results = lemma33_check(config, 2, 2.0, boxes, 40_000_000, threads=THREADS)
+    ratios = [ratio for _, _, ratio in results]
+    hits = [(lhs.hits, rhs.hits) for lhs, rhs, _ in results]
     trend = abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
     band = 0.8 <= ratios[-1] <= 1.25
     enough = min(hits[-1]) >= 100

@@ -255,6 +255,16 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
          "config.model.premiums", ()),
         ("copula-check", {"model": {"dependence": {"kind": "frank-tri", "gamma": math.nan}}},
          "config.model.dependence", ()),
+        # the nested structure is a copula only for gamma <= 1; its sampler emits NaN at 20
+        ("simulate", {"model": {"dependence": {"kind": "nested-frank-product", "gamma": 20.0}}},
+         "config.model.dependence.gamma", ()),
+        # frank-tri: gamma <= 20 wherever its quadrature formulas are used, <= 700 for the sampler alone
+        ("verify-conditions", {"model": {"dependence": {"kind": "frank-tri", "gamma": 21.0}}},
+         "config.model.dependence.gamma", ()),
+        ("asymptotic", {"model": {"dependence": {"kind": "frank-tri", "gamma": 30.0}}},
+         "config.model.dependence.gamma", ()),
+        ("simulate", {"model": {"dependence": {"kind": "frank-tri", "gamma": 701.0}}},
+         "config.model.dependence.gamma", ()),
         # an unhashable experiment or a non-string output path is a config error, not a crash
         ("simulate", {"experiment": ["simulate"]}, "config.experiment", ()),
         ("simulate", {"output_path": 1}, "config.output_path", ()),
@@ -268,7 +278,8 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
          "batch-size-inf", "n-max-inf", "t-max-nan",
          "grids-not-object", "model-not-object", "dependence-not-object", "premium-not-object",
          "verify-x-negative", "verify-d-zero", "verify-s-negative", "verify-s-beyond-t-max",
-         "renewal-premium", "compare-premium", "gamma-nan",
+         "renewal-premium", "compare-premium", "gamma-nan", "nested-gamma-above-one",
+         "frank-gamma-verify", "frank-gamma-asymptotic", "frank-gamma-simulate",
          "experiment-not-string", "output-path-not-string",
          "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative"],
 )
@@ -286,6 +297,23 @@ def test_config_contract_exit_2(tmp_path, experiment, change, path, args):
     assert res.returncode == 2, res.stderr
     assert path in res.stderr
     assert res.stderr.count(path) == 1, res.stderr  # named once, not wrapped twice
+
+
+def test_nested_gamma_one_warns(tmp_path):
+    doc = make_doc("simulate", n_paths=1000)
+    doc["model"]["dependence"] = {"kind": "nested-frank-product", "gamma": 1.0}
+    res = run_cli(tmp_path, doc)
+    assert res.returncode == 0, res.stderr
+    assert "warning: config.model.dependence.gamma" in res.stderr
+
+
+def test_frank_simulate_at_large_gamma(tmp_path):
+    # numpy's logseries rejects p = 1 - e^-gamma once it rounds to 1 (gamma > 37.4)
+    doc = make_doc("simulate", n_paths=1000)
+    doc["model"]["dependence"] = {"kind": "frank-tri", "gamma": 40.0}
+    res = run_cli(tmp_path, doc)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 5
 
 
 def test_largest_seed_accepted(tmp_path):

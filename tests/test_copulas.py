@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from renewalrisk.copulas import (
+    _frank_frailty,
     DependenceSpec,
     FrankTri,
     Independent,
@@ -116,6 +118,101 @@ def test_frank_frailty_vs_conditional_sampler():
         ea = np.mean((a[0] <= pt[0]) & (a[1] <= pt[1]) & (a[2] <= pt[2]))
         eb = np.mean((b[0] <= pt[0]) & (b[1] <= pt[1]) & (b[2] <= pt[2]))
         assert abs(ea - eb) < 6e-3
+
+
+def _frailty_pmf(gamma, kmax=10):
+    """P(K = k) = p^k / (k gamma), p = 1 - e^-gamma, for k <= kmax, then the mass beyond kmax."""
+    k = np.arange(1, kmax + 1)
+    pk = np.exp(k * np.log(-np.expm1(-gamma))) / (k * gamma)
+    return np.append(pk, max(1.0 - pk.sum(), 0.0))
+
+
+def _chisquare_pvalue(draws, probs):
+    """Chi-square p-value of the draws against the pmf of ``_frailty_pmf``.
+
+    Tail cells are merged until each expected count is at least 5.
+    """
+    kmax = probs.size - 1
+    obs = np.bincount(np.minimum(draws, kmax + 1).astype(int), minlength=kmax + 2)[1:]
+    exp = probs * draws.size
+    while exp[-1] < 5:
+        obs = np.append(obs[:-2], obs[-2:].sum())
+        exp = np.append(exp[:-2], exp[-2:].sum())
+    return stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0, 5.0, 30.0, 40.0])
+def test_frank_frailty_pmf(gamma):
+    probs = _frailty_pmf(gamma)
+    if gamma >= 30:
+        assert probs[-1] > 0.9  # most of the mass lies beyond k = 10
+    draws = _frank_frailty(np.random.default_rng(5), gamma, 1_000_000)
+    assert np.all(draws >= 1) and np.all(np.isfinite(draws)) and np.all(draws == np.floor(draws))
+    assert _chisquare_pvalue(draws, probs) > 1e-3
+    p = -math.expm1(-gamma)
+    if p < 1:  # numpy's logseries, where it runs, checks the closed form
+        oracle = np.random.default_rng(6).logseries(p, size=1_000_000)
+        assert _chisquare_pvalue(oracle, probs) > 1e-3
+
+
+@pytest.mark.parametrize("gamma", [0.05, 1.0, 40.0, 700.0])
+def test_frank_frailty_is_finite_at_the_ends(gamma):
+    # V and U take every pairing of 1 (a raw draw of 0) and 2^-53 (the largest raw draw)
+    top = 1.0 - 2.0**-53
+    raw = np.array([[0.0, 0.0, top, top], [0.0, top, 0.0, top]])
+    k = _frank_frailty(SimpleNamespace(random=lambda shape: raw.copy()), gamma, 4)
+    assert np.all(np.isfinite(k)) and np.all(k >= 1)
+    assert k[0] == k[1] == 1.0  # V = 1 gives K = 1 at any U
+
+
+@pytest.mark.parametrize("gamma", [1.0, 35.0, 40.0, 60.0])
+def test_frank_sampler_margins_uniform_at_large_gamma(gamma):
+    n = 1_000_000
+    for x in FrankTri(P1, P1, E1, gamma).sample_uniform(np.random.default_rng(9), n):
+        assert 0.0 <= x.min() and x.max() <= 1.0
+        assert stats.kstest(x, "uniform").pvalue > 1e-3
+
+
+def test_frank_quadrature_side_holds_at_gamma_20():
+    # the CLI accepts frank-tri up to gamma = 20 for its quadrature experiments;
+    # there every weight and window probability is within 1e-6 of 50 digits
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    gamma = 20.0
+    spec = FrankTri(P1, P1, E1, gamma)
+    g = mp.mpf(gamma)
+    lam = lambda t: mp.expm1(-g * t)
+    a = lam(1)
+    F = lambda x: 1 - 1 / (1 + mp.mpf(x))
+    # dC/dw and P(U <= u | V = v, W = w), differenced over the windows below
+    c_w = lambda u, v, w: (1 + lam(w)) * lam(u) * lam(v) / (a**2 + lam(u) * lam(v) * lam(w))
+    c_vw = lambda u, v, w: lam(u) * a * (a + lam(v) * lam(w)) ** 2 / (a**2 + lam(u) * lam(v) * lam(w)) ** 2
+
+    def rel(got, exact):
+        return abs(mp.mpf(float(got)) / exact - 1)
+
+    worst = 0.0
+    for s in (0.0, 1.0, 5.0, 50.0):
+        w = -mp.expm1(-mp.mpf(s))
+        e = mp.exp(g * w)
+        assert rel(spec.h_func(1, s), g * e / mp.expm1(g)) < 1e-12
+        assert rel(spec.g_func(s), g**2 * (2 * e**2 - e) / mp.expm1(g) ** 2) < 1e-12
+        for z in (0.0, 10.0, 1e3, 1e12):
+            lz = lam(F(z))
+            worst = max(worst, rel(spec.g_ij_func(1, 2, z, s), g / mp.expm1(g) * (a - lz * lam(w)) / (a + lz * lam(w))))
+        for x in (0.0, 10.0, 1e3, 1e6):
+            for d in (1.0, 5.0):
+                win = LocalWindow(x, d)
+                lo, hi = F(x), F(x + d)
+                worst = max(
+                    worst,
+                    rel(spec.cond_local_prob_given_theta(1, win, s), c_w(hi, 1, w) - c_w(lo, 1, w)),
+                    rel(spec.cond_joint_local_prob_given_theta(win, win, s),
+                        c_w(hi, hi, w) - c_w(hi, lo, w) - c_w(lo, hi, w) + c_w(lo, lo, w)),
+                    *(rel(spec.cond_local_prob_given_other(1, win, z, s), c_vw(hi, F(z), w) - c_vw(lo, F(z), w))
+                      for z in (0.0, 10.0, 1e3, 1e12)),
+                )
+    assert worst < 1e-6
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)

@@ -238,12 +238,19 @@ def _naive_paths(config, rng, n, t_grid):
     return np.cumsum(acc1, axis=1), np.cumsum(acc2, axis=1)
 
 
+def _naive_batch(config, rng, batch_n, t_grid):
+    """_naive_paths over a batch's blocks of simulate.BLOCK paths, run in order."""
+    blocks = [_naive_paths(config, rng, min(simulate.BLOCK, batch_n - start), t_grid)
+              for start in range(0, batch_n, simulate.BLOCK)]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
 def _naive_grid_hits(config, t_grid, boxes, n_paths):
     t_grid = np.asarray(t_grid, dtype=float)
     hits = np.zeros((len(t_grid), len(boxes)), dtype=np.int64)
     for i, batch_n in enumerate(simulate._batch_plan(n_paths, config.batch_size)):
         rng = simulate._batch_rng(config, i, simulate._CLAIM_STREAM)
-        d1, d2 = _naive_paths(config, rng, batch_n, t_grid)
+        d1, d2 = _naive_batch(config, rng, batch_n, t_grid)
         for j, box in enumerate(boxes):
             hits[:, j] += simulate._in_box(d1, d2, box).sum(axis=0)
     return hits
@@ -273,6 +280,16 @@ def test_grid_matches_naive_reference(dep, r, boxes):
     np.testing.assert_array_equal(simulate_grid(cfg, GRID, boxes, 70_000), want)
 
 
+def test_grid_blocks_match_naive_reference(monkeypatch):
+    # batches of 30000 paths run as blocks of 8192, 8192, 8192 and 5424
+    monkeypatch.setattr(simulate, "BLOCK", 8192)
+    cfg = make_config(dep=FrankTri(P1, P1, E1, 1.0), r=0.05, batch=30_000)
+    boxes = [Box2(2.0, 2.0, 5.0, 5.0), Box2(5.0, 5.0, 10.0, 10.0)]
+    want = _naive_grid_hits(cfg, GRID, boxes, 70_000)
+    assert want.min() > 100
+    np.testing.assert_array_equal(simulate_grid(cfg, GRID, boxes, 70_000, threads=2), want)
+
+
 def test_grid_without_boxes_keeps_its_shape():
     cfg = make_config(batch=30_000)
     assert simulate_grid(cfg, GRID, [], 50_000).shape == (len(GRID), 0)
@@ -290,8 +307,8 @@ def compare_frank_config(batch):
 @pytest.mark.parametrize(
     "batch, threads, want",
     [
-        (500_000, 1, [[86, 8, 1], [330, 36, 3], [644, 69, 10], [1032, 125, 13]]),
-        (70_000, 2, [[80, 9, 1], [289, 34, 1], [599, 73, 7], [1058, 117, 9]]),
+        (500_000, 1, [[72, 6, 0], [289, 26, 1], [611, 57, 3], [1039, 128, 9]]),
+        (70_000, 2, [[84, 8, 2], [287, 21, 5], [629, 62, 5], [1050, 120, 9]]),
     ],
     ids=["one-batch", "three-batches"],
 )
@@ -302,17 +319,18 @@ def test_compare_frank_golden_hits(batch, threads, want):
 
 
 def test_grid_batch_memory_is_bounded():
-    n = 200_000
-    cfg = compare_frank_config(n)
-    simulate_grid(cfg, GRID, COMPARE_FRANK_BOXES, 1_000)  # warm up
-    tracemalloc.start()
-    try:
-        simulate_grid(cfg, GRID, COMPARE_FRANK_BOXES, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # sampler buffers plus the three-row state: about 10 float arrays of batch size
-    assert peak <= 12 * 8 * n
+    # one block at a time: sampler buffers plus the three-row state, about
+    # 10 float arrays of block size, whatever the batch size
+    for n in (200_000, 1_000_000):
+        cfg = compare_frank_config(n)
+        simulate_grid(cfg, GRID, COMPARE_FRANK_BOXES, 1_000)  # warm up
+        tracemalloc.start()
+        try:
+            simulate_grid(cfg, GRID, COMPARE_FRANK_BOXES, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * simulate.BLOCK, n
 
 
 def test_grid_rows_follow_caller_order():
@@ -321,6 +339,12 @@ def test_grid_rows_follow_caller_order():
     ordered = simulate_grid(cfg, [0.5, 1.0, 2.0], boxes, 50_000)
     shuffled = simulate_grid(cfg, [2.0, 0.5, 1.0, 0.5], boxes, 50_000)
     np.testing.assert_array_equal(shuffled, ordered[[2, 0, 1, 0]])
+
+
+def test_net_loss_premiums_stay_paired_across_blocks(monkeypatch):
+    # batches of 40000 paths as blocks of 16384, 16384 and 7232
+    monkeypatch.setattr(simulate, "BLOCK", 16_384)
+    test_net_loss_compound_poisson_matches_reference()
 
 
 def test_net_loss_compound_poisson_matches_reference():
@@ -336,7 +360,7 @@ def test_net_loss_compound_poisson_matches_reference():
     want = 0
     for i, batch_n in enumerate(simulate._batch_plan(100_000, cfg.batch_size)):
         rng = simulate._batch_rng(cfg, i, simulate._CLAIM_STREAM)
-        d1, d2 = _naive_paths(cfg, rng, batch_n, np.array([t]))
+        d1, d2 = _naive_batch(cfg, rng, batch_n, np.array([t]))
         s1, s2 = simulate._premium_values(cfg, i, batch_n, t)
         want += int(np.count_nonzero(simulate._in_box(d1[:, 0] - s1, d2[:, 0] - s2, target)))
     assert want > 100
