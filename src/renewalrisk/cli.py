@@ -18,8 +18,15 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 `parse_config` checks every section, field, grid and command-line
 override the experiment reads before any computation starts, so every
 configuration error exits 2 with a message that names its config path.
+Each object it reads has a fixed set of fields, and any other key (a
+misspelt `n_path`, say) exits 2 as `config.<path>.<key>: unknown field`.
 The output path is opened only once the rows are ready, so one that
 cannot be written exits 3.
+`copula-check` reports `min_c_volume`, the least C-volume of random boxes.
+Each volume is an alternating 8-corner sum of the copula CDF, so a small
+box loses its volume to rounding: a valid copula can read slightly below
+0, e.g. -2.0e-14 for frank-tri at gamma = 20 (seed 11, 1e5 boxes).  A
+value above -1e-12 is such rounding, not an invalid copula.
 All numeric CSV fields use shortest round-trip decimal representation,
 and outputs are byte-identical for identical (config, seed) regardless
 of --threads.
@@ -58,6 +65,16 @@ EXIT_CONFIG, EXIT_RUNTIME = 2, 3
 
 class ConfigError(ValueError):
     """Configuration rejected; the message carries the offending path."""
+
+
+def _fields(doc, path: str, allowed) -> dict:
+    """``doc`` as an object whose keys all lie in ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    return doc
 
 
 def _get(doc: dict, key: str, path: str, required: bool = True, default=None):
@@ -99,8 +116,31 @@ def _int(doc: dict, key: str, path: str, default: int, lo: int, hi: int | None =
     return val
 
 
+#: the fields of the config object and of its sections; any other key is an error
+CONFIG_FIELDS = ("model", "experiment", "grids", "box", "n", "n_paths", "n_boxes", "renewal_step",
+                 "counterexample_n_max", "output_path")
+MODEL_FIELDS = ("f1", "f2", "g", "dependence", "premiums", "seed", "batch_size", "t_max", "r")
+GRID_FIELDS = ("t_grid", "x_grid", "s_grid", "d")
+BOX_FIELDS = ("x1", "x2", "d1", "d2")
+#: the fields each marginal family, dependence kind and premium kind reads
+MARGINAL_FIELDS = {"pareto": ("alpha",), "weibull": ("shape", "scale"), "exponential": ("rate",),
+                   "deterministic": ("value",), "counterexample": ("n_max",)}
+DEPENDENCE_FIELDS = {"independent": (), "frank-tri": ("gamma",), "nested-frank-product": ("gamma",),
+                     "sarmanov-fgm": ("g12", "g13", "g23")}
+PREMIUM_FIELDS = {"linear": ("rate",), "compound-poisson": ("rate", "jump")}
+
+
+def _variant(doc, tag: str, path: str, fields: dict, what: str) -> str:
+    """The variant named by ``doc[tag]``, once it and every key of ``doc`` are known."""
+    name = _get(doc, tag, path)
+    if not isinstance(name, str) or name not in fields:
+        raise ConfigError(f"{path}.{tag}: unknown {what} {name!r} (expected {'|'.join(fields)})")
+    _fields(doc, path, (tag, *fields[name]))
+    return name
+
+
 def parse_marginal(doc, path: str) -> Marginal:
-    family = _get(doc, "family", path)
+    family = _variant(doc, "family", path, MARGINAL_FIELDS, "family")
     try:
         if family == "pareto":
             return Pareto(_num(doc, "alpha", path))
@@ -110,20 +150,15 @@ def parse_marginal(doc, path: str) -> Marginal:
             return Exponential(_num(doc, "rate", path))
         if family == "deterministic":
             return Deterministic(_num(doc, "value", path))
-        if family == "counterexample":
-            return CounterexampleF(_int(doc, "n_max", path, default=N_MAX_LIMIT, lo=1, hi=N_MAX_LIMIT + 1))
+        return CounterexampleF(_int(doc, "n_max", path, default=N_MAX_LIMIT, lo=1, hi=N_MAX_LIMIT + 1))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(
-        f"{path}.family: unknown family {family!r} "
-        "(expected pareto|weibull|exponential|deterministic|counterexample)"
-    )
 
 
 def parse_dependence(doc, f1, f2, g, path: str) -> DependenceSpec:
-    kind = _get(doc, "kind", path)
+    kind = _variant(doc, "kind", path, DEPENDENCE_FIELDS, "dependence")
     try:
         if kind == "independent":
             return Independent(f1, f2, g)
@@ -143,33 +178,26 @@ def parse_dependence(doc, f1, f2, g, path: str) -> DependenceSpec:
                     file=sys.stderr,
                 )
             return spec
-        if kind == "sarmanov-fgm":
-            return SarmanovFGM(
-                f1, f2, g,
-                _num(doc, "g12", path), _num(doc, "g13", path), _num(doc, "g23", path),
-            )
+        return SarmanovFGM(
+            f1, f2, g,
+            _num(doc, "g12", path), _num(doc, "g13", path), _num(doc, "g23", path),
+        )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(
-        f"{path}.kind: unknown dependence {kind!r} "
-        "(expected independent|frank-tri|nested-frank-product|sarmanov-fgm)"
-    )
 
 
 def parse_premium(doc, path: str):
-    kind = _get(doc, "kind", path)
+    kind = _variant(doc, "kind", path, PREMIUM_FIELDS, "premium")
     try:
         if kind == "linear":
             return Linear(_num(doc, "rate", path))
-        if kind == "compound-poisson":
-            return CompoundPoisson(_num(doc, "rate", path), parse_marginal(_get(doc, "jump", path), f"{path}.jump"))
+        return CompoundPoisson(_num(doc, "rate", path), parse_marginal(_get(doc, "jump", path), f"{path}.jump"))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown premium {kind!r} (expected linear|compound-poisson)")
 
 
 #: each experiment and the grids it requires; the four that need t_grid are
@@ -193,7 +221,7 @@ FRANK_GAMMA_MAX = {"simulate": 700.0, "lemma33": 700.0, "counterexample": math.i
 
 def _grids(doc: dict, experiment: str, t_max: float) -> dict:
     """The grids the config gives, checked, plus the box width ``d``."""
-    grids_doc = _get(doc, "grids", "config", required=False, default={})
+    grids_doc = _fields(_get(doc, "grids", "config", required=False, default={}), "config.grids", GRID_FIELDS)
     grids = {}
     for name in ("t_grid", "x_grid", "s_grid"):
         vals = _get(grids_doc, name, "config.grids", required=name in EXPERIMENTS[experiment])
@@ -218,7 +246,8 @@ def _boxes(doc: dict, grids: dict) -> list:
         if "x_grid" not in grids:
             raise ConfigError("config: need either box or grids.x_grid")
         return [Box2(x, x, grids["d"], grids["d"]) for x in grids["x_grid"]]
-    levels = [_num(doc["box"], k, "config.box") for k in ("x1", "x2", "d1", "d2")]
+    box_doc = _fields(doc["box"], "config.box", BOX_FIELDS)
+    levels = [_num(box_doc, k, "config.box") for k in BOX_FIELDS]
     try:
         return [Box2(*levels)]
     except ValueError as exc:
@@ -232,7 +261,8 @@ def parse_config(doc: dict, experiment: str | None = None, seed: int | None = No
     command line's positional experiment and ``--seed``); they apply
     after the document's shape is checked and pass the same checks.
     """
-    model_doc = _get(doc, "model", "config")
+    _fields(doc, "config", CONFIG_FIELDS)
+    model_doc = _fields(_get(doc, "model", "config"), "config.model", MODEL_FIELDS)
     f1 = parse_marginal(_get(model_doc, "f1", "config.model"), "config.model.f1")
     f2 = parse_marginal(_get(model_doc, "f2", "config.model"), "config.model.f2")
     g = parse_marginal(_get(model_doc, "g", "config.model"), "config.model.g")

@@ -2,9 +2,8 @@
 
 Provides the parametric families used throughout the model (shifted Pareto,
 heavy-tailed Weibull, exponential, a point mass, and the piecewise-linear
-density from :mod:`renewalrisk.counterexample`), local-window probabilities
-F(x, x+d], and grid diagnostics for local long-tailedness and almost
-decrease of the local distribution.
+density from :mod:`renewalrisk.counterexample`) and the local-window
+probabilities F(x, x+d].
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "Deterministic",
     "local_prob",
     "scaled_local_prob",
-    "lloc_ratio_diagnostic",
-    "almost_decreasing_constant",
 ]
 
 
@@ -55,9 +52,6 @@ class Marginal:
     def sf(self, x):
         """Survival 1 - F(x); overridden where a direct form avoids rounding."""
         return 1.0 - self.cdf(x)
-
-    def sample(self, rng, n: int) -> np.ndarray:
-        return self.quantile(rng.random(n))
 
     def _check_p(self, p):
         p = np.asarray(p, dtype=float)
@@ -155,9 +149,6 @@ class Deterministic(Marginal):
         p = self._check_p(p)
         return np.full_like(p, self.value)[()]
 
-    def sample(self, rng, n: int) -> np.ndarray:
-        return np.full(n, self.value)
-
 
 def local_prob(dist: Marginal, w: LocalWindow):
     """F(x, x+d] = F(x+d) - F(x); the tail 1 - F(x) when d is infinite.
@@ -185,73 +176,3 @@ def scaled_local_prob(dist: Marginal, w: LocalWindow, r: float, u) -> float:
     if math.isinf(w.d):
         return np.asarray(dist.sf(w.x * scale))[()]
     return (np.asarray(dist.sf(w.x * scale)) - dist.sf((w.x + w.d) * scale))[()]
-
-
-def lloc_ratio_diagnostic(
-    dist: Marginal,
-    x_grid,
-    y_bound: float,
-    d_range: tuple[float, float],
-    n_y: int = 11,
-    n_d: int = 9,
-) -> np.ndarray:
-    """Worst-case deviation of F(x+y+D_d)/F(x+D_s) from d/s per grid x.
-
-    For a locally long-tailed distribution the returned sequence must tend
-    to 0 along an increasing ``x_grid``; for light tails it stays bounded
-    away from 0.  The supremum is taken over a finite grid of shifts
-    |y| <= y_bound and widths d, s in (a, b], so the result is a lower
-    bound of the true supremum.
-    """
-    a, b = d_range
-    if not (0 < a < b):
-        raise ValueError("d_range must satisfy 0 < a < b")
-    if y_bound <= 0:
-        raise ValueError("y_bound must be > 0")
-    ys = np.linspace(-y_bound, y_bound, n_y)
-    ds = np.linspace(a, b, n_d + 1)[1:]  # widths in (a, b]
-    out = np.empty(len(x_grid))
-    for i, x in enumerate(x_grid):
-        denom = np.array([local_prob(dist, LocalWindow(x, s)) for s in ds])
-        if np.any(denom <= 0.0):
-            raise ValueError(f"zero local mass F(x, x+s] at x={x}; degenerate input")
-        worst = 0.0
-        for y in ys:
-            if x + y < 0:
-                continue
-            num = np.array([local_prob(dist, LocalWindow(x + y, d)) for d in ds])
-            dev = np.abs(num[:, None] / denom[None, :] - ds[:, None] / ds[None, :])
-            worst = max(worst, float(dev.max()))
-        out[i] = worst
-    return out
-
-
-def almost_decreasing_constant(
-    dist: Marginal,
-    d: float,
-    grid_max: float,
-    step: float | None = None,
-    grid=None,
-) -> float:
-    """Grid lower bound of the almost-decrease constant of the local law.
-
-    Returns sup over grid pairs 0 <= x <= y <= grid_max of
-    F(y+D_d)/F(x+D_d) - 1.  Zero for distributions whose local probability
-    is nonincreasing; grows without bound exactly when the local
-    distribution is not almost decreased.
-    """
-    if d <= 0 or grid_max <= 0:
-        raise ValueError("d and grid_max must be > 0")
-    if grid is None:
-        if step is None:
-            step = 0.01 * d
-        grid = np.arange(0.0, grid_max + step, step)
-    else:
-        grid = np.sort(np.asarray(grid, dtype=float))
-        grid = grid[(grid >= 0.0) & (grid <= grid_max)]
-    vals = dist.cdf(grid + d) - dist.cdf(grid)
-    if np.any(vals <= 0.0):
-        raise ValueError("zero local mass on the grid; degenerate input")
-    # running minimum over x <= y turns the pairwise sup into a single pass
-    running_min = np.minimum.accumulate(vals)
-    return float(np.max(vals / running_min) - 1.0)

@@ -1,4 +1,4 @@
-"""Renewal function, its support, and tilted renewal measures.
+"""Renewal function and tilted renewal measures.
 
 The renewal function lambda(t) = E N(t) solves
 lambda = G + lambda * G.  It is discretised on a uniform grid with
@@ -28,12 +28,9 @@ from .marginals import Deterministic, Marginal
 __all__ = [
     "RenewalGrid",
     "TiltedMeasure",
-    "SupportInfo",
     "renewal_function",
-    "lambda_support",
     "tilted_measure",
     "tilted_triplet",
-    "step_halving_error",
 ]
 
 
@@ -50,12 +47,6 @@ class RenewalGrid:
     def times(self) -> np.ndarray:
         return self.step * np.arange(len(self.lambda_values))
 
-    def value_at(self, t: float) -> float:
-        """lambda at the nearest grid node <= t."""
-        if not 0.0 <= t <= self.t_max + 0.5 * self.step:
-            raise ValueError(f"t={t} outside the grid [0, {self.t_max}]")
-        return float(self.lambda_values[min(int(t / self.step + 1e-9), len(self.lambda_values) - 1)])
-
 
 @dataclass(frozen=True)
 class TiltedMeasure:
@@ -63,25 +54,10 @@ class TiltedMeasure:
 
     grid: RenewalGrid
     increments: np.ndarray
-    weight_kind: str
 
     @property
     def values(self) -> np.ndarray:
         return np.cumsum(self.increments)
-
-
-@dataclass(frozen=True)
-class SupportInfo:
-    """Lower endpoint of the support of sigma_1 and whether it carries mass."""
-
-    t_lower: float
-    closed: bool
-
-    def contains(self, t: float) -> bool:
-        """Membership in {t : lambda(t) > 0}."""
-        if self.closed:
-            return t >= self.t_lower
-        return t > self.t_lower
 
 
 def _stieltjes_increments(g: Marginal, h: float, k_max: int) -> np.ndarray:
@@ -160,7 +136,7 @@ def renewal_function(g: Marginal, t_max: float, h: float) -> RenewalGrid:
     return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_dist=g)
 
 
-def tilted_measure(grid: RenewalGrid, weight, kind: str = "custom") -> TiltedMeasure:
+def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure:
     """Increments of lambda~(t) = int (1 + lambda(t-u)) w(u) G(du).
 
     ``weight`` is a vectorized function of u on [0, t_max]; it must be
@@ -189,7 +165,7 @@ def tilted_measure(grid: RenewalGrid, weight, kind: str = "custom") -> TiltedMea
     values[:-1] -= b
     values[0] = 0.0
     inc = np.diff(np.concatenate([[0.0], values]))
-    return TiltedMeasure(grid=grid, increments=inc, weight_kind=kind)
+    return TiltedMeasure(grid=grid, increments=inc)
 
 
 def tilted_triplet(grid: RenewalGrid, dep) -> tuple[TiltedMeasure, TiltedMeasure, TiltedMeasure]:
@@ -199,21 +175,8 @@ def tilted_triplet(grid: RenewalGrid, dep) -> tuple[TiltedMeasure, TiltedMeasure
     ``copulas.DependenceSpec``; constant weights are broadcast.
     """
     return (
-        tilted_measure(grid, lambda u: dep.h_func(1, u), kind="h1"),
-        tilted_measure(grid, lambda u: dep.h_func(2, u), kind="h2"),
-        tilted_measure(grid, dep.g_func, kind="g"),
+        tilted_measure(grid, lambda u: dep.h_func(1, u)),
+        tilted_measure(grid, lambda u: dep.h_func(2, u)),
+        tilted_measure(grid, dep.g_func),
     )
 
-
-def lambda_support(g: Marginal) -> SupportInfo:
-    """Lower endpoint of Lambda = {t : lambda(t) > 0} and its openness."""
-    t_lower = float(np.asarray(g.quantile(0.0)))
-    closed = float(np.asarray(g.cdf(t_lower))) > 0.0
-    return SupportInfo(t_lower=t_lower, closed=closed)
-
-
-def step_halving_error(g: Marginal, t_max: float, h: float) -> float:
-    """Max |lambda_h - lambda_{h/2}| on the common grid; discretization gauge."""
-    coarse = renewal_function(g, t_max, h)
-    fine = renewal_function(g, t_max, h / 2)
-    return float(np.max(np.abs(coarse.lambda_values - fine.lambda_values[::2])))

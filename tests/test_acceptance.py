@@ -63,7 +63,7 @@ def test_criterion_1_renewal_solver():
 def test_criterion_2_tilted_measures():
     dep = FrankTri(PARETO1, PARETO1, EXP1, 1.0)
     grid = renewal_function(EXP1, 2.0, 1e-3)
-    unit = tilted_measure(grid, lambda u: np.ones_like(u), kind="unit")
+    unit = tilted_measure(grid, lambda u: np.ones_like(u))
     unit_err = float(np.max(np.abs(unit.values - grid.lambda_values)))
 
     rep = bounds_over_horizon(dep, 2.0)

@@ -17,7 +17,7 @@ from renewalrisk.renewal import renewal_function, tilted_measure, tilted_triplet
 def poisson_tilted(t_max=3.0, h=1e-3):
     grid = renewal_function(Exponential(1.0), t_max, h)
     unit = lambda u: np.ones_like(u)
-    tm = tilted_measure(grid, unit, kind="unit")
+    tm = tilted_measure(grid, unit)
     return tm, tm, tm
 
 

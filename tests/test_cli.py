@@ -272,6 +272,18 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
         ("simulate", [], "config", ("simulate",)),
         ("simulate", {"model": 5}, "config.model", ("--seed", "3")),
         ("simulate", {}, "config.model.seed", ("--seed", "-1")),
+        # a misspelt key is an error, not a silently kept default
+        ("compare", {"n_path": 10}, "config.n_path", ()),
+        ("compare", {"model": {"rr": 0.5}}, "config.model.rr", ()),
+        ("simulate", {"grids": {"t_grid": [0.5], "x_grid": [5.0], "dx": 1.0}}, "config.grids.dx", ()),
+        ("simulate", {"box": {"x1": 5.0, "x2": 5.0, "d1": 5.0, "d2": 5.0, "d3": 5.0}}, "config.box.d3", ()),
+        ("simulate", {"model": {"f1": {"family": "pareto", "alpha": 1.0, "scale": 2.0}}},
+         "config.model.f1.scale", ()),
+        ("simulate", {"model": {"dependence": {"kind": "independent", "gamma": 1.0}}},
+         "config.model.dependence.gamma", ()),
+        ("simulate", {"model": {"premiums": [{"kind": "linear", "rate": 0.0, "jump": 1.0},
+                                             {"kind": "linear", "rate": 0.0}]}},
+         "config.model.premiums[0].jump", ()),
     ],
     ids=["lemma33-n", "n-paths-zero", "box-width", "seed-negative", "seed-too-large",
          "n-boxes-zero", "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large",
@@ -281,7 +293,9 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
          "renewal-premium", "compare-premium", "gamma-nan", "nested-gamma-above-one",
          "frank-gamma-verify", "frank-gamma-asymptotic", "frank-gamma-simulate",
          "experiment-not-string", "output-path-not-string",
-         "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative"],
+         "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative",
+         "unknown-top-level", "unknown-model", "unknown-grids", "unknown-box", "unknown-marginal",
+         "unknown-dependence", "unknown-premium"],
 )
 def test_config_contract_exit_2(tmp_path, experiment, change, path, args):
     doc = make_doc(experiment)

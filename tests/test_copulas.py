@@ -69,16 +69,6 @@ def test_c_volume_nonnegative(spec, data):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
-def test_c_volume_scalar_matches_vector(spec):
-    box = ((0.1, 0.6), (0.2, 0.9), (0.05, 0.5))
-    lo = np.array([[0.1, 0.2, 0.05]])
-    hi = np.array([[0.6, 0.9, 0.5]])
-    assert spec.c_volume(box) == pytest.approx(spec.c_volumes(lo, hi)[0], abs=1e-14)
-    with pytest.raises(ValueError):
-        spec.c_volume(((0.6, 0.1), (0.2, 0.9), (0.05, 0.5)))
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=IDS)
 def test_cond_cdf_given_w_is_dC_dw(spec):
     # finite-difference check of dC/dw against the closed form
     eps = 1e-6

@@ -7,7 +7,9 @@ import pytest
 
 from renewalrisk.cli import EXPERIMENTS, parse_config
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+CONFIGS = sorted((SCRIPTS / "configs").glob("*.json")) + sorted((ROOT / "perfbench" / "workloads").glob("*.json"))
 
 
 def run_script(name, *args):
@@ -31,10 +33,11 @@ def test_run_counterexample_prints_every_block():
     assert all(len(b) == 5 for b in blocks), lines
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in (SCRIPTS / "configs").glob("*.json")))
-def test_shipped_config_passes_the_contract(name):
-    # the README tells users to run these; a tightened parser must not reject them
-    doc = json.loads((SCRIPTS / "configs" / name).read_text())
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_passes_the_contract(config):
+    # the README tells users to run these and the benchmark runs the workloads;
+    # a tightened parser, such as the unknown-field check, must not reject them
+    doc = json.loads(config.read_text())
     cfg = parse_config(doc)
     assert cfg["experiment"] == doc["experiment"]
     assert all(grid in cfg["grids"] for grid in EXPERIMENTS[cfg["experiment"]])
