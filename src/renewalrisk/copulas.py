@@ -1,16 +1,17 @@
 """Tri-dimensional dependence structures for (X1, X2, theta).
 
-Four variants: independence, the Sarmanov family with FGM kernels, the
-exchangeable tri-dimensional Frank copula, and a product copula nested
-inside a bivariate Frank copula.  Each variant carries
+Four variants: the Sarmanov family with FGM kernels, independence as its
+zero-coefficient member, the exchangeable tri-dimensional Frank copula,
+and a product copula nested inside a bivariate Frank copula.  Each
+variant carries
 
 * the joint copula CDF and C-volumes,
 * exact conditional distributions (given theta; given the other claim and
   theta), obtained from closed-form copula partial derivatives, and the
   window probabilities under them, each factored in the window widths so
   they stay accurate deep in the tail,
-* an exact sampler, closed-form except for the acceptance-rejection of
-  the FGM variant (the two Frank variants share their generator algebra),
+* an exact closed-form sampler (the two Frank variants share their
+  generator algebra),
 * the closed-form dependence weights h_i(s), g(s), g_ij(z, s) describing
   the large-claim limits of those conditionals, and grid estimates of
   their horizon bounds.
@@ -22,7 +23,7 @@ the exact conditionals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +43,19 @@ __all__ = [
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _LN2 = math.log(2.0)
+
+
+def _quadratic_root(qa, qb, qc):
+    """The root (-qb - sqrt(D)) / (2 qa) of qa x^2 + qb x + qc = 0.
+
+    Every sampler wants that root for either sign of qb (the nested one
+    reaches qb > 0 at gamma > 1, where a sign(qb) choice picks the other
+    root); for qb <= 0 it is taken as 2 qc / (-qb + sqrt(D)), which has
+    no cancellation and stays finite at qa = 0.
+    """
+    disc = np.sqrt(qb**2 - 4 * qa * qc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(qb <= 0, 2 * qc / (-qb + disc), -(qb + disc) / (2 * qa))
 
 
 @dataclass(frozen=True)
@@ -149,49 +163,6 @@ class DependenceSpec:
 
 
 # ---------------------------------------------------------------------------
-# Independence
-
-
-@dataclass(frozen=True)
-class Independent(DependenceSpec):
-    f1: Marginal
-    f2: Marginal
-    g_dist: Marginal
-
-    def copula_cdf(self, u, v, w):
-        return np.asarray(u) * v * w
-
-    def cond_cdf_given_w(self, u, v, w):
-        return np.asarray(u) * v
-
-    def cond_cdf_given_vw(self, i, u, v, w):
-        return np.asarray(u, dtype=float)[()]
-
-    def cond_local_prob_given_theta(self, i, win, s):
-        return (self._window(i, win)[2] * np.ones_like(np.asarray(s, dtype=float)))[()]
-
-    def cond_joint_local_prob_given_theta(self, win1, win2, s):
-        du, dv = self._window(1, win1)[2], self._window(2, win2)[2]
-        return (du * dv * np.ones_like(np.asarray(s, dtype=float)))[()]
-
-    def cond_local_prob_given_other(self, i, win, z, s):
-        du = self._window(i, win)[2]
-        return (du * np.ones_like(np.asarray(z, dtype=float) * np.asarray(s, dtype=float)))[()]
-
-    def sample_uniform(self, rng, n):
-        return rng.random(n), rng.random(n), rng.random(n)
-
-    def h_func(self, i, s):
-        return np.ones_like(np.asarray(s, dtype=float))[()]
-
-    def g_func(self, s):
-        return np.ones_like(np.asarray(s, dtype=float))[()]
-
-    def g_ij_func(self, i, j, z, s):
-        return np.ones_like(np.asarray(z, dtype=float) * np.asarray(s, dtype=float))[()]
-
-
-# ---------------------------------------------------------------------------
 # Sarmanov with FGM kernels
 
 
@@ -211,8 +182,6 @@ class SarmanovFGM(DependenceSpec):
     g12: float
     g13: float
     g23: float
-
-    REJECTION_CAP = 10_000
 
     def __post_init__(self):
         for g in (self.g12, self.g13, self.g23):
@@ -281,26 +250,16 @@ class SarmanovFGM(DependenceSpec):
         return (num / (1 + g_vw * dv * dw))[()]
 
     def sample_uniform(self, rng, n):
-        # acceptance-rejection against the product law; the density is
-        # bounded by 1 + |g12| + |g13| + |g23|
-        bound = 1 + abs(self.g12) + abs(self.g13) + abs(self.g23)
-        out = np.empty((3, n))
-        filled = 0
-        for _ in range(self.REJECTION_CAP):
-            m = max(int(1.2 * (n - filled) * bound), 16)
-            u, v, w = rng.random(m), rng.random(m), rng.random(m)
-            du, dv, dw = 1 - 2 * u, 1 - 2 * v, 1 - 2 * w
-            dens = 1 + self.g12 * du * dv + self.g13 * du * dw + self.g23 * dv * dw
-            keep = rng.random(m) * bound < dens
-            k = min(int(keep.sum()), n - filled)
-            sel = np.flatnonzero(keep)[:k]
-            out[0, filled : filled + k] = u[sel]
-            out[1, filled : filled + k] = v[sel]
-            out[2, filled : filled + k] = w[sel]
-            filled += k
-            if filled == n:
-                return out[0], out[1], out[2]
-        raise RuntimeError("rejection sampler failed to fill the batch")
+        # conditional inversion: W is uniform, and V given W and U given
+        # (V, W) both have the CDF x + a x (1 - x) with |a| < 1 on valid
+        # parameters, inverted as the root of a x^2 - (1 + a) x + p = 0
+        pu, pv, w = rng.random(n), rng.random(n), rng.random(n)
+        dw = 1 - 2 * w
+        a = self.g23 * dw
+        v = _quadratic_root(a, -(1 + a), pv)
+        dv = 1 - 2 * v
+        a = (self.g12 * dv + self.g13 * dw) / (1 + self.g23 * dv * dw)
+        return _quadratic_root(a, -(1 + a), pu), v, w
 
     def h_func(self, i, s):
         phi3 = 1 - 2 * self.g_dist.cdf(s)
@@ -324,6 +283,19 @@ class SarmanovFGM(DependenceSpec):
         if np.any(np.asarray(denom) < 1e-12):
             raise ValueError("conditional density of (X_j, theta) vanishes on the grid")
         return 1 - (g_ij * phij + g_i3 * phi3) / denom
+
+
+@dataclass(frozen=True)
+class Independent(SarmanovFGM):
+    """Independence: the FGM variant with all three coefficients 0."""
+
+    g12: float = field(default=0.0, init=False)
+    g13: float = field(default=0.0, init=False)
+    g23: float = field(default=0.0, init=False)
+
+    def sample_uniform(self, rng, n):
+        # the FGM inversions are the identity here; skip their arithmetic
+        return rng.random(n), rng.random(n), rng.random(n)
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +346,6 @@ class _Frank(DependenceSpec):
     def _dlam(self, lo, d):
         """lam(lo + d) - lam(lo) without cancellation."""
         return np.exp(-self.gamma * np.asarray(lo, dtype=float)) * np.expm1(-self.gamma * d)
-
-    def _w_from_quadratic(self, qa, qb, qc):
-        """w with lam(w) the root (-qb - sqrt(D)) / (2 qa) of qa lw^2 + qb lw + qc = 0.
-
-        Both samplers want that root for either sign of qb (the nested one
-        reaches qb > 0 at gamma > 1, where a sign(qb) choice picks the other
-        root); for qb <= 0 it is taken as 2 qc / (-qb + sqrt(D)), which has
-        no cancellation and stays finite at qa = 0.
-        """
-        disc = np.sqrt(qb**2 - 4 * qa * qc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.where(qb <= 0, 2 * qc / (-qb + disc), -(qb + disc) / (2 * qa))
-        return -np.log1p(root) / self.gamma
 
     def cond_local_prob_given_theta(self, i, win, s):
         # exact factored corner difference of dC/dw with the other claim's
@@ -487,7 +446,7 @@ class FrankTri(_Frank):
         qa = p3 * a * c**2
         qb = 2 * p3 * a**3 * c - a**2 * (a + c) ** 2
         qc = p3 * a**5
-        return u, v, self._w_from_quadratic(qa, qb, qc)
+        return u, v, -np.log1p(_quadratic_root(qa, qb, qc)) / self.gamma
 
     def g_func(self, s):
         gs = self.g_dist.cdf(s)
@@ -584,7 +543,7 @@ class NestedFrankProduct(_Frank):
         qa = (1 + lk) * (lk + gk) - p * lk**2
         qb = a * ((1 + lk) * (1 - gk) - 2 * p * lk)
         qc = -p * a**2
-        return u, v, self._w_from_quadratic(qa, qb, qc)
+        return u, v, -np.log1p(_quadratic_root(qa, qb, qc)) / self.gamma
 
     def g_func(self, s):
         # corner density of the claim pair given theta: with k = uv and

@@ -33,12 +33,14 @@ def make_specs():
         NestedFrankProduct(P1, P1, E1, 1.0),
         SarmanovFGM(P1, P2, E1, 0.3, -0.2, 0.4),
         SarmanovFGM(P1, P1, E1, -0.5, 0.2, 0.1),
+        # near the boundary: the smallest density corner is 0.09
+        SarmanovFGM(P1, P1, E1, 0.9, 0.05, 0.04),
     ]
 
 
 SPECS = make_specs()
 IDS = [
-    "indep", "frank05", "frank1", "frank3", "nested05", "nested1", "fgm1", "fgm2",
+    "indep", "frank05", "frank1", "frank3", "nested05", "nested1", "fgm1", "fgm2", "fgm3",
 ]
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -366,7 +368,30 @@ def test_fgm_validity_four_corners():
     SarmanovFGM(P1, P1, E1, 0.5, 0.3, 0.1)  # valid
 
 
-def test_fgm_rejection_sampler_moments():
+@pytest.mark.parametrize(
+    "coeffs", [(0.3, -0.2, 0.4), (0.9, 0.05, 0.04), (-0.2, -0.2, -0.2)], ids=["interior", "edge", "negative"]
+)
+def test_fgm_sampler_inverts_its_conditionals(coeffs):
+    # V given W and U given (V, W) have the CDF x + a x (1 - x); the
+    # sampler must return the x that maps to each fed uniform
+    g12, g13, g23 = coeffs
+    grid = np.linspace(0.0, 1.0, 1001)[:-1]
+    perm = np.random.default_rng(0).permutation
+    draws = [perm(grid), perm(grid), perm(grid)]
+    pu, pv, pw = (d.copy() for d in draws)
+    fake_rng = SimpleNamespace(random=lambda n: draws.pop(0))
+    u, v, w = SarmanovFGM(P1, P1, E1, *coeffs).sample_uniform(fake_rng, grid.size)
+    np.testing.assert_array_equal(w, pw)
+    dv, dw = 1 - 2 * v, 1 - 2 * w
+    a_v = g23 * dw
+    a_u = (g12 * dv + g13 * dw) / (1 + g23 * dv * dw)
+    np.testing.assert_allclose(v + a_v * v * (1 - v), pv, rtol=0, atol=4e-16)
+    np.testing.assert_allclose(u + a_u * u * (1 - u), pu, rtol=0, atol=4e-16)
+    for x in (u, v):
+        assert np.all((0.0 <= x) & (x < 1.0))
+
+
+def test_fgm_sampler_moments():
     spec = SarmanovFGM(P1, P1, E1, 0.8, 0.0, 0.0)
     u, v, w = spec.sample_uniform(np.random.default_rng(7), 200_000)
     # FGM pair correlation is gamma/3; third coordinate independent here

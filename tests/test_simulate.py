@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from renewalrisk.asymptotics import Box2
-from renewalrisk.copulas import FrankTri, Independent
+from renewalrisk.copulas import FrankTri, Independent, NestedFrankProduct
 from renewalrisk.marginals import Deterministic, Exponential, Pareto
 from renewalrisk import simulate
 from renewalrisk.simulate import (
@@ -300,21 +300,25 @@ def test_grid_without_boxes_keeps_its_shape():
 COMPARE_FRANK_BOXES = [Box2(x, x, 5.0, 5.0) for x in (10.0, 20.0, 40.0)]
 
 
-def compare_frank_config(batch):
-    return ModelConfig(dependence=FrankTri(P1, P1, E1, 1.0), t_max=2.0, r=0.05, seed=7, batch_size=batch)
+def compare_frank_config(batch, dep=FrankTri(P1, P1, E1, 1.0)):
+    return ModelConfig(dependence=dep, t_max=2.0, r=0.05, seed=7, batch_size=batch)
 
 
 @pytest.mark.parametrize(
-    "batch, threads, want",
+    "dep, batch, threads, want",
     [
-        (500_000, 1, [[72, 6, 0], [289, 26, 1], [611, 57, 3], [1039, 128, 9]]),
-        (70_000, 2, [[84, 8, 2], [287, 21, 5], [629, 62, 5], [1050, 120, 9]]),
+        (FrankTri(P1, P1, E1, 1.0), 500_000, 1, [[72, 6, 0], [289, 26, 1], [611, 57, 3], [1039, 128, 9]]),
+        (FrankTri(P1, P1, E1, 1.0), 70_000, 2, [[84, 8, 2], [287, 21, 5], [629, 62, 5], [1050, 120, 9]]),
+        (Independent(P1, P1, E1), 70_000, 2, [[135, 12, 1], [382, 45, 2], [777, 98, 6], [1213, 137, 5]]),
+        (NestedFrankProduct(P1, P1, E1, 0.5), 70_000, 2,
+         [[79, 12, 0], [294, 29, 0], [614, 62, 7], [1032, 119, 8]]),
     ],
-    ids=["one-batch", "three-batches"],
+    ids=["one-batch", "three-batches", "independent-three-batches", "nested05-three-batches"],
 )
-def test_compare_frank_golden_hits(batch, threads, want):
-    # a kernel rewrite must keep the draws, and so these counts, bit for bit
-    hits = simulate_grid(compare_frank_config(batch), GRID, COMPARE_FRANK_BOXES, 200_000, threads=threads)
+def test_compare_frank_golden_hits(dep, batch, threads, want):
+    # a kernel or sampler rewrite must keep the draws, and so these counts,
+    # bit for bit
+    hits = simulate_grid(compare_frank_config(batch, dep), GRID, COMPARE_FRANK_BOXES, 200_000, threads=threads)
     np.testing.assert_array_equal(hits, want)
 
 
