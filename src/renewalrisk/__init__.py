@@ -28,7 +28,7 @@ from .copulas import (
     NestedFrankProduct,
     SarmanovFGM,
 )
-from .counterexample import CounterexampleDensity, CounterexampleF
+from .counterexample import CounterexampleF
 
 __all__ = [
     "Deterministic",
@@ -44,6 +44,5 @@ __all__ = [
     "Independent",
     "NestedFrankProduct",
     "SarmanovFGM",
-    "CounterexampleDensity",
     "CounterexampleF",
 ]

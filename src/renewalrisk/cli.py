@@ -53,7 +53,7 @@ from .copulas import (
     condition_ratio_scan,
     mean_h_check,
 )
-from .counterexample import N_MAX_LIMIT, CounterexampleDensity, CounterexampleF
+from .counterexample import N_MAX_LIMIT, CounterexampleF
 from .marginals import Deterministic, Exponential, Marginal, Pareto, Weibull
 from .renewal import renewal_function, tilted_triplet
 from .simulate import SCAN_COLUMNS, CompoundPoisson, Linear, ModelConfig, lemma33_check, uniformity_scan
@@ -367,7 +367,7 @@ def run(cfg: dict, threads: int = 1) -> None:
         return
 
     if experiment == "counterexample":
-        dens = CounterexampleDensity(cfg["counterexample_n_max"])
+        dens = CounterexampleF(cfg["counterexample_n_max"])
         tab = dens.table
         rows = []
         for n in range(1, tab.n_max + 1):

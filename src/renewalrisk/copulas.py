@@ -62,7 +62,6 @@ def _quadratic_root(qa, qb, qc):
 class BoundsReport:
     """Grid infima/suprema of the dependence weights over a horizon."""
 
-    horizon: float
     b_lower: float
     b_upper: float
     d_lower: float
@@ -110,7 +109,8 @@ class DependenceSpec:
     def g_func(self, s):
         raise NotImplementedError
 
-    def g_ij_func(self, i: int, j: int, z, s):
+    def g_ij_func(self, i: int, z, s):
+        """The limit weight of claim i given the other claim at z and theta = s."""
         raise NotImplementedError
 
     # --- derived operations -----------------------------------------------
@@ -144,10 +144,7 @@ class DependenceSpec:
         tail where u_lo and u_hi agree to machine precision.
         """
         fi = self.f1 if i == 1 else self.f2
-        u_lo = fi.cdf(win.x)
-        if math.isinf(win.d):
-            return u_lo, 1.0, np.asarray(fi.sf(win.x))
-        return u_lo, fi.cdf(win.x + win.d), np.asarray(local_prob(fi, win))
+        return fi.cdf(win.x), fi.cdf(win.x + win.d), np.asarray(local_prob(fi, win))
 
     def cond_local_prob_given_theta(self, i: int, win: LocalWindow, s):
         """Exact P(X_i in (x, x+d] | theta = s), factored in the window width."""
@@ -270,11 +267,9 @@ class SarmanovFGM(DependenceSpec):
         phi3 = 1 - 2 * self.g_dist.cdf(s)
         return 1 + self.g12 - (self.g13 + self.g23) * phi3
 
-    def g_ij_func(self, i, j, z, s):
-        if {i, j} != {1, 2}:
-            raise ValueError("need i != j in {1, 2}")
+    def g_ij_func(self, i, z, s):
         phi3 = 1 - 2 * self.g_dist.cdf(s)
-        fj = self.f2 if j == 2 else self.f1
+        fj = self.f2 if i == 1 else self.f1
         phij = 1 - 2 * fj.cdf(z)
         g_ij = self.g12
         g_i3 = self.g13 if i == 1 else self.g23
@@ -453,11 +448,9 @@ class FrankTri(_Frank):
         e = np.exp(self.gamma * gs)
         return self.gamma**2 * (2 * e**2 - e) / math.expm1(self.gamma) ** 2
 
-    def g_ij_func(self, i, j, z, s):
-        if {i, j} != {1, 2}:
-            raise ValueError("need i != j in {1, 2}")
+    def g_ij_func(self, i, z, s):
         a = self._alpha
-        fj = self.f2 if j == 2 else self.f1
+        fj = self.f2 if i == 1 else self.f1
         lz = _lam(self.gamma, fj.cdf(z))
         ls = _lam(self.gamma, self.g_dist.cdf(s))
         ratio = (a - lz * ls) / (a + lz * ls)
@@ -555,12 +548,10 @@ class NestedFrankProduct(_Frank):
         )
         return num / (-math.expm1(-g)) ** 2
 
-    def g_ij_func(self, i, j, z, s):
-        if {i, j} != {1, 2}:
-            raise ValueError("need i != j in {1, 2}")
+    def g_ij_func(self, i, z, s):
         g = self.gamma
         a = self._alpha
-        fj = self.f2 if j == 2 else self.f1
+        fj = self.f2 if i == 1 else self.f1
         fz = fj.cdf(z)
         lz = _lam(g, fz)
         ls = _lam(g, self.g_dist.cdf(s))
@@ -589,7 +580,7 @@ def bounds_over_horizon(spec: DependenceSpec, horizon: float) -> BoundsReport:
     g_vals = np.asarray(spec.g_func(s_grid)).ravel()
     zz, ss = np.meshgrid(z_grid, s_grid, indexing="ij")
     gij_vals = np.concatenate(
-        [np.asarray(spec.g_ij_func(i, j, zz, ss)).ravel() for i, j in ((1, 2), (2, 1))]
+        [np.asarray(spec.g_ij_func(i, zz, ss)).ravel() for i in (1, 2)]
     )
     if isinstance(spec, NestedFrankProduct) and spec.gamma >= 1:
         warnings.append(
@@ -612,7 +603,6 @@ def bounds_over_horizon(spec: DependenceSpec, horizon: float) -> BoundsReport:
         c2 = max(c2, float(np.max(cond2 / base2)) - 1.0)
 
     return BoundsReport(
-        horizon=horizon,
         b_lower=float(h_vals.min()),
         b_upper=float(h_vals.max()),
         d_lower=float(g_vals.min()),
@@ -656,9 +646,8 @@ def condition_ratio_scan(
         elif condition == 3:
             z_grid = np.concatenate([np.linspace(0.0, 20.0, 21), [1e2, 1e4]])
             zz, ss = np.meshgrid(z_grid, s_grid, indexing="ij")
-            j = 2 if i == 1 else 1
             exact = np.asarray(spec.cond_local_prob_given_other(i, win, zz, ss))
-            asym = local_prob(fi, win) * np.asarray(spec.g_ij_func(i, j, zz, ss))
+            asym = local_prob(fi, win) * np.asarray(spec.g_ij_func(i, zz, ss))
         else:
             raise ValueError("condition must be 1, 2 or 3")
         out[k] = float(np.max(np.abs(exact / asym - 1.0)))

@@ -26,7 +26,6 @@ from .marginals import Marginal
 
 __all__ = [
     "BreakpointTable",
-    "CounterexampleDensity",
     "CounterexampleF",
     "breakpoints",
     "m_index",
@@ -110,18 +109,29 @@ def normalizer(table: BreakpointTable) -> tuple[float, float]:
     return mass, tail
 
 
-class CounterexampleDensity:
-    """Normalized density with closed-form CDF and exact self-convolution."""
+@dataclass(frozen=True)
+class CounterexampleF(Marginal):
+    """The normalized law with its table, witnesses and exact self-convolution.
 
-    def __init__(self, n_max: int = N_MAX_LIMIT):
-        self.table = breakpoints(n_max)
-        self.norm, self.tail_bound = normalizer(self.table)
-        # cumulative raw mass at each node; exact for the linear pieces
-        widths = np.diff(self.table.nodes)
-        seg = 0.5 * (self.table.f0[:-1] + self.table.f0[1:]) * widths
-        self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        # raw mass beyond each node, summed from the right for the survival
-        self._tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    Instances are equal when their ``n_max`` is.
+    """
+
+    n_max: int = N_MAX_LIMIT
+    table: BreakpointTable = field(init=False, repr=False, compare=False)
+    norm: float = field(init=False, repr=False, compare=False)
+    tail_bound: float = field(init=False, repr=False, compare=False)
+    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _tail: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = breakpoints(self.n_max)
+        seg = 0.5 * (table.f0[:-1] + table.f0[1:]) * np.diff(table.nodes)
+        # raw mass up to each node, and beyond it summed from the right for the survival
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+        derived = (table, *normalizer(table), cum, tail)
+        for name, value in zip(("table", "norm", "tail_bound", "_cum", "_tail"), derived):
+            object.__setattr__(self, name, value)
 
     @property
     def x_max(self) -> float:
@@ -131,15 +141,50 @@ class CounterexampleDensity:
         return density_raw(self.table, x) / self.norm
 
     def cdf(self, x):
-        """Piecewise-quadratic CDF, the exact integral of the density."""
+        """Piecewise-quadratic CDF: 0 below 0, 1 above x_max, the exact integral between.
+
+        At x_max itself it is the raw integral, 1 up to rounding.
+        """
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0) or np.any(x > self.x_max):
-            raise ValueError("x outside the tabulated range")
-        idx = np.clip(np.searchsorted(self.table.nodes, x, side="right") - 1, 0, len(self._cum) - 2)
-        x0 = self.table.nodes[idx]
-        f0 = self.table.f0[idx]
-        fx = np.interp(x, self.table.nodes, self.table.f0)
-        return ((self._cum[idx] + 0.5 * (f0 + fx) * (x - x0)) / self.norm)[()]
+        nodes, f0 = self.table.nodes, self.table.f0
+        xc = np.clip(x, 0.0, self.x_max)
+        idx = np.clip(np.searchsorted(nodes, xc, side="right") - 1, 0, len(nodes) - 2)
+        fx = np.interp(xc, nodes, f0)
+        out = (self._cum[idx] + 0.5 * (f0[idx] + fx) * (xc - nodes[idx])) / self.norm
+        return np.where(x > self.x_max, 1.0, np.where(x < 0, 0.0, out))[()]
+
+    def sf(self, x):
+        """Survival summed from the right, without the cancellation of 1 - cdf.
+
+        The raw mass beyond the right node of x's segment plus the
+        trapezoid from x to that node, clamped to [0, 1].
+        """
+        nodes, f0 = self.table.nodes, self.table.f0
+        x = np.clip(np.asarray(x, dtype=float), 0.0, self.x_max)
+        right = np.clip(np.searchsorted(nodes, x, side="right"), 1, len(nodes) - 1)
+        fx = np.interp(x, nodes, f0)
+        raw = self._tail[right] + 0.5 * (fx + f0[right]) * (nodes[right] - x)
+        return np.clip(raw / self.norm, 0.0, 1.0)[()]
+
+    def quantile(self, p):
+        """Closed-form inverse of the piecewise-quadratic CDF.
+
+        On the segment holding raw mass r = p * norm - cum beyond its left
+        node, 0.5 s d^2 + f0 d = r is solved by the cancellation-free root
+        d = 2r / (f0 + sqrt(f0^2 + 2 s r)), capped at the right node.
+        """
+        p = self._check_p(p)
+        nodes, f0, cum = self.table.nodes, self.table.f0, self._cum
+        mass = p * self.norm
+        idx = np.clip(np.searchsorted(cum, mass, side="right") - 1, 0, len(cum) - 2)
+        left, f_left = nodes[idx], f0[idx]
+        slope = (f0[idx + 1] - f_left) / (nodes[idx + 1] - left)
+        r = mass - cum[idx]
+        # lanes with p >= cdf(x_max) overshoot the last segment; np.where sets them to x_max
+        disc = np.maximum(f_left * f_left + 2.0 * slope * r, 0.0)
+        d = 2.0 * r / (f_left + np.sqrt(disc))
+        x = np.minimum(left + d, nodes[idx + 1])
+        return np.where(p >= self.cdf(self.x_max), self.x_max, x)[()]
 
     def almost_decreasing_witness(self, n: int) -> float:
         """f(mid_n) / f(b_n); equals ln(n+1) by construction."""
@@ -210,59 +255,3 @@ class CounterexampleDensity:
         """I2(x) / f(x); the part the single-big-jump principle kills."""
         _, i2 = self.self_convolution(x)
         return i2 / self.pdf(x)
-
-
-@dataclass(frozen=True)
-class CounterexampleF(Marginal):
-    """Marginal-distribution adapter over :class:`CounterexampleDensity`."""
-
-    n_max: int = N_MAX_LIMIT
-    _density: CounterexampleDensity = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_density", CounterexampleDensity(self.n_max))
-
-    @property
-    def density(self) -> CounterexampleDensity:
-        return self._density
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, 0.0, self._density.x_max)
-        out = self._density.cdf(clipped)
-        return np.where(x >= self._density.x_max, 1.0, np.where(x < 0, 0.0, out))[()]
-
-    def sf(self, x):
-        """Survival summed from the right, without the cancellation of 1 - cdf.
-
-        The raw mass beyond the right node of x's segment plus the
-        trapezoid from x to that node, clamped to [0, 1].
-        """
-        dens = self._density
-        nodes, f0 = dens.table.nodes, dens.table.f0
-        x = np.clip(np.asarray(x, dtype=float), 0.0, dens.x_max)
-        right = np.clip(np.searchsorted(nodes, x, side="right"), 1, len(nodes) - 1)
-        fx = np.interp(x, nodes, f0)
-        raw = dens._tail[right] + 0.5 * (fx + f0[right]) * (nodes[right] - x)
-        return np.clip(raw / dens.norm, 0.0, 1.0)[()]
-
-    def quantile(self, p):
-        """Closed-form inverse of the piecewise-quadratic CDF.
-
-        On the segment holding raw mass r = p * norm - cum beyond its left
-        node, 0.5 s d^2 + f0 d = r is solved by the cancellation-free root
-        d = 2r / (f0 + sqrt(f0^2 + 2 s r)), capped at the right node.
-        """
-        p = self._check_p(p)
-        dens = self._density
-        nodes, f0, cum = dens.table.nodes, dens.table.f0, dens._cum
-        mass = p * dens.norm
-        idx = np.clip(np.searchsorted(cum, mass, side="right") - 1, 0, len(cum) - 2)
-        left, f_left = nodes[idx], f0[idx]
-        slope = (f0[idx + 1] - f_left) / (nodes[idx + 1] - left)
-        r = mass - cum[idx]
-        # lanes with p >= cdf(x_max) overshoot the last segment; np.where sets them to x_max
-        disc = np.maximum(f_left * f_left + 2.0 * slope * r, 0.0)
-        d = 2.0 * r / (f_left + np.sqrt(disc))
-        x = np.minimum(left + d, nodes[idx + 1])
-        return np.where(p >= dens.cdf(dens.x_max), dens.x_max, x)[()]

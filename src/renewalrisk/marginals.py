@@ -27,7 +27,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LocalWindow:
-    """Half-open interval (x, x+d]; d may be ``math.inf`` for the tail."""
+    """Half-open interval (x, x+d] of finite width d > 0."""
 
     x: float
     d: float
@@ -35,8 +35,8 @@ class LocalWindow:
     def __post_init__(self):
         if self.x < 0:
             raise ValueError(f"window left endpoint must be >= 0, got {self.x}")
-        if not self.d > 0:
-            raise ValueError(f"window width must be > 0, got {self.d}")
+        if not 0 < self.d < math.inf:
+            raise ValueError(f"window width must be finite and > 0, got {self.d}")
 
 
 class Marginal:
@@ -151,13 +151,11 @@ class Deterministic(Marginal):
 
 
 def local_prob(dist: Marginal, w: LocalWindow):
-    """F(x, x+d] = F(x+d) - F(x); the tail 1 - F(x) when d is infinite.
+    """F(x, x+d] = F(x+d) - F(x).
 
     Computed as a difference of survival values so the result keeps
     relative accuracy deep in the tail, where both CDF values round to 1.
     """
-    if math.isinf(w.d):
-        return dist.sf(w.x)
     return dist.sf(w.x) - dist.sf(w.x + w.d)
 
 
@@ -173,6 +171,4 @@ def scaled_local_prob(dist: Marginal, w: LocalWindow, r: float, u) -> float:
             scale = np.exp(r * u)
         except FloatingPointError as exc:
             raise OverflowError(f"e^(r*u) overflows for r={r}") from exc
-    if math.isinf(w.d):
-        return np.asarray(dist.sf(w.x * scale))[()]
     return (np.asarray(dist.sf(w.x * scale)) - dist.sf((w.x + w.d) * scale))[()]

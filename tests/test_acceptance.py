@@ -25,7 +25,7 @@ from renewalrisk.copulas import (
     condition_ratio_scan,
     mean_h_check,
 )
-from renewalrisk.counterexample import CounterexampleDensity, m_index
+from renewalrisk.counterexample import CounterexampleF, m_index
 from renewalrisk.marginals import Exponential, Pareto, local_prob
 from renewalrisk.renewal import renewal_function, tilted_measure, tilted_triplet
 from renewalrisk.simulate import (
@@ -140,22 +140,22 @@ def test_criterion_4_condition_scans():
 
 # -- 5 ----------------------------------------------------------------------
 def test_criterion_5_counterexample():
-    dens = CounterexampleDensity(n_max=8)
-    tab = dens.table
+    F = CounterexampleF(8)
+    tab = F.table
     ordering = all(
         tab.a[n] < tab.b[n] < tab.mid[n] < tab.a[n + 1] for n in range(1, 9)
     )
     m12 = m_index(12) == 11
-    total = dens.cdf(dens.x_max)
+    total = F.cdf(F.x_max)
     norm_ok = abs(total - 1.0) <= 1e-12
-    tail_ok = dens.tail_bound < 2.0**-110
+    tail_ok = F.tail_bound < 2.0**-110
     witness_ok = all(
-        abs(dens.almost_decreasing_witness(n) / math.log(n + 1) - 1.0) <= 1e-12
+        abs(F.almost_decreasing_witness(n) / math.log(n + 1) - 1.0) <= 1e-12
         for n in range(1, 8)
     )
-    conv = [abs(dens.self_convolution_ratio(tab.a[n]) - 1.0) for n in (2, 3, 4)]
+    conv = [abs(F.self_convolution_ratio(tab.a[n]) - 1.0) for n in (2, 3, 4)]
     conv_234_decreasing = conv[0] > conv[1] > conv[2]
-    mids = [dens.middle_part_ratio(tab.a[n]) for n in range(2, 9)]
+    mids = [F.middle_part_ratio(tab.a[n]) for n in range(2, 9)]
     mid_to_zero = all(a > b for a, b in zip(mids[1:], mids[2:])) and mids[-1] < 1e-11
 
     ok = (ordering and m12 and norm_ok and tail_ok and witness_ok
@@ -164,7 +164,7 @@ def test_criterion_5_counterexample():
         5,
         ok,
         f"ordering {ordering}, m_12==11 {m12}, integral dev {abs(total-1):.1e} "
-        f"(tol 1e-12), tail {dens.tail_bound:.1e} (<2^-110), witnesses {witness_ok}, "
+        f"(tol 1e-12), tail {F.tail_bound:.1e} (<2^-110), witnesses {witness_ok}, "
         f"|conv ratio-1| over n=2,3,4 = {conv[0]:.4g},{conv[1]:.4g},{conv[2]:.4g} "
         f"strictly decreasing: {conv_234_decreasing} (known red: the asymptotic "
         f"regime activates only for n>=3; see supplementary test), "
@@ -177,8 +177,8 @@ def test_criterion_5_supplement_true_trend():
     # once the asymptotic regime activates (n >= 3), reaching ~2e-5 at n=8,
     # and the middle part vanishes; this is the limit behaviour the
     # construction demonstrates
-    dens = CounterexampleDensity(n_max=8)
-    devs = [abs(dens.self_convolution_ratio(dens.table.a[n]) - 1.0) for n in range(3, 9)]
+    F = CounterexampleF(8)
+    devs = [abs(F.self_convolution_ratio(F.table.a[n]) - 1.0) for n in range(3, 9)]
     assert all(a > b for a, b in zip(devs, devs[1:])), devs
     assert devs[-1] < 1e-3
 

@@ -179,8 +179,11 @@ def test_counterexample_runs(tmp_path):
     doc = make_doc("counterexample", output_path=str(out), counterexample_n_max=6)
     res = run_cli(tmp_path, doc)
     assert res.returncode == 0, res.stderr
-    rows = read_csv(out)
-    assert len(rows) >= 2
+    hdr, *rows = read_csv(out)
+    assert [int(row[0]) for row in rows] == list(range(1, 7))
+    for row in rows:
+        n, witness = int(row[0]), float(row[hdr.index("witness")])
+        assert abs(witness - math.log(n + 1)) <= 1e-12, row  # f(mid_n) / f(b_n) = ln(n+1)
 
 
 def test_verify_conditions_runs(tmp_path):

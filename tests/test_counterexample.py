@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from renewalrisk.counterexample import (
     BreakpointTable,
-    CounterexampleDensity,
     CounterexampleF,
     breakpoints,
     density_raw,
@@ -18,8 +17,8 @@ from renewalrisk.counterexample import (
 
 
 @pytest.fixture(scope="module")
-def dens():
-    return CounterexampleDensity(n_max=8)
+def F():
+    return CounterexampleF(8)
 
 
 def test_m_index_values():
@@ -38,99 +37,101 @@ def test_breakpoint_ordering():
         assert a[n] < tab.b[n] < tab.mid[n] < a[n + 1]
 
 
-def test_density_positive_and_raises_outside_range(dens):
+def test_density_positive_and_raises_outside_range(F):
     xs = np.linspace(0.1, 1e4, 2000)
-    vals = np.array([dens.pdf(x) for x in xs])
+    vals = np.array([F.pdf(x) for x in xs])
     assert np.all(vals >= 0)
     # truncation beyond the last tabulated block is explicit, not silent
     with pytest.raises(ValueError):
-        dens.pdf(-1.0)
+        F.pdf(-1.0)
     with pytest.raises(ValueError):
-        dens.pdf(dens.x_max * 2.0)  # x_max + 1 rounds back to x_max at 2^81
+        F.pdf(F.x_max * 2.0)  # x_max + 1 rounds back to x_max at 2^81
 
 
-def test_normalizer_frozen(dens):
-    norm, tail = normalizer(dens.table)
+def test_normalizer_frozen(F):
+    norm, tail = normalizer(F.table)
     assert norm == pytest.approx(3.7796086395436226, rel=1e-14)
     assert tail < 2.0**-110
     assert tail == pytest.approx(1.79e-43, rel=0.05)
 
 
-def test_cdf_properties(dens):
-    assert dens.cdf(0.0) == 0.0
-    assert dens.cdf(dens.x_max) == pytest.approx(1.0, abs=1e-12)
-    xs = np.geomspace(0.5, dens.x_max, 200)
-    vals = np.array([dens.cdf(x) for x in xs])
+def test_cdf_properties(F):
+    assert F.cdf(0.0) == 0.0 and F.cdf(-1.0) == 0.0
+    # the raw integral up to x_max, which the quantile's top lane reads; 1 only beyond it
+    assert F.cdf(F.x_max) == pytest.approx(1.0, abs=1e-12)
+    assert F.cdf(F.x_max * 2.0) == 1.0
+    xs = np.geomspace(0.5, F.x_max, 200)
+    vals = np.array([F.cdf(x) for x in xs])
     assert np.all(np.diff(vals) >= -1e-15)
 
 
-def test_cdf_matches_numeric_integral(dens):
+def test_cdf_matches_numeric_integral(F):
     # trapezoid on a fine grid over the first two blocks
     lo, hi = 0.0, 100.0
     grid = np.linspace(lo, hi, 20001)
-    pdfv = np.array([dens.pdf(x) for x in grid])
+    pdfv = np.array([F.pdf(x) for x in grid])
     integral = np.trapezoid(pdfv, grid)
-    assert dens.cdf(hi) == pytest.approx(integral, rel=1e-6)
+    assert F.cdf(hi) == pytest.approx(integral, rel=1e-6)
 
 
-DENS8 = CounterexampleDensity(n_max=8)
+F8 = CounterexampleF(8)
 
 
 @given(x=st.floats(min_value=0.01, max_value=1e6))
 @settings(max_examples=60, deadline=None)
 def test_cdf_pdf_consistency_locally(x):
-    dens = DENS8
+    F = F8
     h = 1e-4 * max(x, 1.0)
-    fd = (dens.cdf(x + h) - dens.cdf(x - h)) / (2 * h)
-    mid = dens.pdf(x)
+    fd = (F.cdf(x + h) - F.cdf(x - h)) / (2 * h)
+    mid = F.pdf(x)
     # fd straddles at most one breakpoint; bound by neighbouring density values
-    lo = min(dens.pdf(x - h), mid, dens.pdf(x + h))
-    hi = max(dens.pdf(x - h), mid, dens.pdf(x + h))
+    lo = min(F.pdf(x - h), mid, F.pdf(x + h))
+    hi = max(F.pdf(x - h), mid, F.pdf(x + h))
     assert lo - 1e-12 <= fd <= hi + 1e-12
 
 
-def test_witness_sequence(dens):
+def test_witness_sequence(F):
     # the almost-decreasing witness at block n equals ln(n+1)
     for n in range(1, 8):
-        assert dens.almost_decreasing_witness(n) == pytest.approx(
+        assert F.almost_decreasing_witness(n) == pytest.approx(
             math.log(n + 1), rel=1e-12
         )
 
 
-def test_long_tail_ratio_trend(dens):
+def test_long_tail_ratio_trend(F):
     # f(x+t)/f(x) along the geometric anchors tends to 1 within blocks
-    vals = [dens.long_tail_ratio(dens.table.a[dens.table.m[n]] * 1.5, 1.0) for n in (3, 5, 7)]
+    vals = [F.long_tail_ratio(F.table.a[F.table.m[n]] * 1.5, 1.0) for n in (3, 5, 7)]
     assert all(abs(v - 1.0) < 0.1 for v in vals)
     assert abs(vals[-1] - 1.0) < abs(vals[0] - 1.0)
 
 
-def test_self_convolution_ratio_frozen(dens):
+def test_self_convolution_ratio_frozen(F):
     # pinned values of |ratio - 1| at the block anchors a_n
     expect = {2: 199.995, 3: 1382.09, 4: 1179.83, 5: 170.25, 6: 5.3847, 7: 0.04205}
     for n, val in expect.items():
-        x = dens.table.a[n]
-        assert abs(dens.self_convolution_ratio(x) - 1.0) == pytest.approx(val, rel=2e-3)
+        x = F.table.a[n]
+        assert abs(F.self_convolution_ratio(x) - 1.0) == pytest.approx(val, rel=2e-3)
 
 
-def test_self_convolution_ratio_eventually_decreases(dens):
+def test_self_convolution_ratio_eventually_decreases(F):
     devs = []
     for n in range(3, 9):
-        devs.append(abs(dens.self_convolution_ratio(dens.table.a[n]) - 1.0))
+        devs.append(abs(F.self_convolution_ratio(F.table.a[n]) - 1.0))
     assert all(a > b for a, b in zip(devs, devs[1:])), devs
     assert devs[-1] < 1e-3
 
 
-def test_middle_part_vanishes(dens):
+def test_middle_part_vanishes(F):
     expect = {2: 380.99, 5: 3.7096, 7: 2.1146e-7, 8: 7.96e-13}
     prev = math.inf
     for n in range(3, 9):  # decreasing once the asymptotic regime activates
-        r = dens.middle_part_ratio(dens.table.a[n])
+        r = F.middle_part_ratio(F.table.a[n])
         assert r < prev
         prev = r
         if n in expect:
             assert r == pytest.approx(expect[n], rel=2e-3)
     assert prev < 1e-11
-    assert dens.middle_part_ratio(dens.table.a[2]) == pytest.approx(expect[2], rel=2e-3)
+    assert F.middle_part_ratio(F.table.a[2]) == pytest.approx(expect[2], rel=2e-3)
 
 
 def test_marginal_wrapper_quantile_roundtrip():
@@ -144,11 +145,10 @@ def _bisect_quantile(F, p):
     """Reference quantile: bisect the CDF one probability at a time."""
     from scipy.optimize import bisect
 
-    dens = F.density
-    top = dens.cdf(dens.x_max)
+    top = F.cdf(F.x_max)
     return np.array([
-        dens.x_max if pi >= top
-        else bisect(lambda x: dens.cdf(x) - pi, 0.0, dens.x_max, xtol=1e-12, maxiter=300)
+        F.x_max if pi >= top
+        else bisect(lambda x: F.cdf(x) - pi, 0.0, F.x_max, xtol=1e-12, maxiter=300)
         for pi in p
     ])
 
@@ -159,7 +159,7 @@ def test_closed_form_quantile_matches_bisection(n_max):
     p = np.concatenate([np.random.default_rng(5).random(2000), [1e-15, 1e-9]])
     x = F.quantile(p)
     # near p -> 1 the density is tiny and x is pinned only to ulp / f(x)
-    tol = 1e-11 + 1e-15 / F.density.pdf(x)
+    tol = 1e-11 + 1e-15 / F.pdf(x)
     assert np.all(np.abs(x - _bisect_quantile(F, p)) <= tol)
     assert np.max(np.abs(F.cdf(x) - p)) <= 1e-15
 
@@ -170,14 +170,14 @@ def test_closed_form_quantile_shapes_and_ends(n_max):
     assert F.quantile(0.0) == 0.0
     assert F.quantile(0.3) == F.quantile(np.array([0.3]))[0]
     assert F.quantile(np.full((2, 3), 0.5)).shape == (2, 3)
-    x_max = F.density.x_max
+    x_max = F.x_max
     p = 1.0 - np.array([2.0**-53, 2.0**-52, 1e-15, 1e-13])
     with warnings.catch_warnings():
         # for p >= cdf(x_max) the raw mass overshoots the last segment
         warnings.simplefilter("error")
         x = F.quantile(p)
     assert np.all((x > 0.0) & (x <= x_max))
-    assert np.all(x[p >= F.density.cdf(x_max)] == x_max)
+    assert np.all(x[p >= F.cdf(x_max)] == x_max)
     assert np.max(np.abs(F.cdf(x) - p)) <= 1e-15
     assert np.all(np.diff(F.quantile(np.linspace(0.0, 0.999, 5001))) > 0)
 
@@ -193,9 +193,9 @@ def test_marginal_wrapper_sampling():
 
 def test_n_max_bounds():
     with pytest.raises(ValueError):
-        CounterexampleDensity(n_max=0)
+        CounterexampleF(0)
     with pytest.raises(ValueError):
-        CounterexampleDensity(n_max=9)
+        CounterexampleF(9)
 
 
 def test_survival_keeps_the_deep_tail():
@@ -205,9 +205,9 @@ def test_survival_keeps_the_deep_tail():
 
     F = CounterexampleF(8)
     for x, rel in ((1e6, 1e-8), (1e9, 1e-5)):
-        exact = 4.0 * F.density.pdf(x + 2.0)
+        exact = 4.0 * F.pdf(x + 2.0)
         assert local_prob(F, LocalWindow(x, 4.0)) == pytest.approx(exact, rel=rel, abs=0.0), x
-    nodes = F.density.table.nodes
+    nodes = F.table.nodes
     xs = np.concatenate([np.linspace(0.0, 1e5, 20_001), nodes[nodes <= 1e5]])
     np.testing.assert_allclose(F.sf(xs), 1.0 - F.cdf(xs), rtol=0.0, atol=1e-15)
-    assert F.sf(F.density.x_max) == 0.0 and F.sf(-1.0) <= 1.0
+    assert F.sf(F.x_max) == 0.0 and F.sf(-1.0) <= 1.0
