@@ -7,6 +7,7 @@ Subcommands
     renewal             renewal function and tilted measures on a grid
     copula-check        C-volume sampling, h/g bounds, E h_i(theta) = 1
     counterexample      breakpoint table, witnesses, self-convolution ratios
+                        (the one experiment that needs no `model`)
     verify-conditions   conditional/asymptotic ratio scans along x
     lemma33             n-arrival box event vs sum-of-pairs expectation
 
@@ -27,9 +28,11 @@ Each volume is an alternating 8-corner sum of the copula CDF, so a small
 box loses its volume to rounding: a valid copula can read slightly below
 0, e.g. -2.0e-14 for frank-tri at gamma = 20 (seed 11, 1e5 boxes).  A
 value above -1e-12 is such rounding, not an invalid copula.
-All numeric CSV fields use shortest round-trip decimal representation,
-and outputs are byte-identical for identical (config, seed) regardless
-of --threads.
+All numeric CSV fields use shortest round-trip decimal representation.
+Monte Carlo runs in blocks of 2^16 paths, each drawing from its own
+random stream keyed by the seed and the block's index, so outputs are
+byte-identical for identical (config, seed) regardless of --threads and
+of `model.batch_size`, which is accepted and validated but inert.
 """
 
 from __future__ import annotations
@@ -254,15 +257,9 @@ def _boxes(doc: dict, grids: dict) -> list:
         raise ConfigError(f"config.box: {exc}") from exc
 
 
-def parse_config(doc: dict, experiment: str | None = None, seed: int | None = None) -> dict:
-    """Validate the JSON document into a plain dict of typed pieces.
-
-    ``experiment`` and ``seed`` override the document's fields (the
-    command line's positional experiment and ``--seed``); they apply
-    after the document's shape is checked and pass the same checks.
-    """
-    _fields(doc, "config", CONFIG_FIELDS)
-    model_doc = _fields(_get(doc, "model", "config"), "config.model", MODEL_FIELDS)
+def _model(model_doc, seed: int | None) -> ModelConfig:
+    """The model section as a ModelConfig; ``seed``, if given, overrides its seed."""
+    model_doc = _fields(model_doc, "config.model", MODEL_FIELDS)
     f1 = parse_marginal(_get(model_doc, "f1", "config.model"), "config.model.f1")
     f2 = parse_marginal(_get(model_doc, "f2", "config.model"), "config.model.f2")
     g = parse_marginal(_get(model_doc, "g", "config.model"), "config.model.g")
@@ -280,34 +277,47 @@ def parse_config(doc: dict, experiment: str | None = None, seed: int | None = No
                               "only linear premiums of rate 0 are accepted")
     seed_doc = model_doc if seed is None else {"seed": seed}
     seed = _int(seed_doc, "seed", "config.model", default=0, lo=0, hi=2**64)
+    # inert (the draws follow simulate.BLOCK), but still validated
     batch_size = _int(model_doc, "batch_size", "config.model", default=2_000_000, lo=1)
     t_max = _num(model_doc, "t_max", "config.model")
     r = _num(model_doc, "r", "config.model", required=False, default=0.0)
     try:
-        model = ModelConfig(
-            dependence=dep,
-            t_max=t_max,
-            r=r,
-            premiums=premiums,
-            seed=seed,
-            batch_size=batch_size,
-        )
+        return ModelConfig(dependence=dep, t_max=t_max, r=r, premiums=premiums, seed=seed, batch_size=batch_size)
     except ValueError as exc:
         raise ConfigError(f"config.model: {exc}") from exc
 
+
+def parse_config(doc: dict, experiment: str | None = None, seed: int | None = None) -> dict:
+    """Validate the JSON document into a plain dict of typed pieces.
+
+    ``experiment`` and ``seed`` override the document's fields (the
+    command line's positional experiment and ``--seed``); they apply
+    after the document's shape is checked and pass the same checks.
+    ``counterexample`` reads no model, so its ``model`` is optional (and
+    checked if present); without one, the model is None and the grids
+    are checked without a horizon.
+    """
+    _fields(doc, "config", CONFIG_FIELDS)
     if experiment is None:
         experiment = _get(doc, "experiment", "config")
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError(f"config.experiment: unknown experiment {experiment!r} (expected one of {', '.join(EXPERIMENTS)})")
+    model = None
+    if "model" in doc or experiment != "counterexample":
+        model = _model(_get(doc, "model", "config"), seed)
+    elif seed is not None:  # unused, but an override passes the same checks
+        _int({"seed": seed}, "seed", "config.model", default=0, lo=0, hi=2**64)
 
     gamma_max = FRANK_GAMMA_MAX.get(experiment, FRANK_QUADRATURE_GAMMA_MAX)
+    dep = model.dependence if model is not None else None
     if isinstance(dep, FrankTri) and dep.gamma > gamma_max:
         raise ConfigError(f"config.model.dependence.gamma: {experiment} with frank-tri "
                           f"needs gamma <= {gamma_max:g}, got {dep.gamma}")
-    grids = _grids(doc, experiment, model.t_max)
-    renewal_step = _num(doc, "renewal_step", "config", required=False, default=model.t_max / 2000)
-    if not 0 < renewal_step <= model.t_max / 10:
-        raise ConfigError(f"config.renewal_step: must lie in (0, t_max/10={model.t_max / 10}], got {renewal_step}")
+    t_max = model.t_max if model is not None else math.inf
+    grids = _grids(doc, experiment, t_max)
+    renewal_step = _num(doc, "renewal_step", "config", required=False, default=t_max / 2000)
+    if not 0 < renewal_step <= t_max / 10:
+        raise ConfigError(f"config.renewal_step: must lie in (0, t_max/10={t_max / 10}], got {renewal_step}")
     output_path = _get(doc, "output_path", "config", required=False, default="-")
     if not isinstance(output_path, str):
         raise ConfigError(f"config.output_path: expected a string, got {output_path!r}")
@@ -441,7 +451,7 @@ def main(argv=None) -> int:
                         help="override the experiment named in the config")
     parser.add_argument("--config", required=True, help="path to the JSON configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for simulation batches")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads for simulation blocks")
     parser.add_argument("--out", default=None, help="override the config output path ('-' for stdout)")
     args = parser.parse_args(argv)
 

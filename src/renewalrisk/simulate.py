@@ -5,7 +5,7 @@ the renewal clock passes the horizon, accumulating the discounted claim
 pair; estimators are plain hit counters with binomial confidence
 intervals (Clopper-Pearson at low counts).
 
-Every estimator runs on one streaming kernel, `_stream_paths`.  It keeps
+Every estimator runs on one streaming kernel, `_stream_block`.  It keeps
 the state of the paths still alive as the rows of one matrix, compacted
 once per arrival round, and knows only the horizon.  Each round it
 passes every alive path's state, with the interval [t_from, t_to) over
@@ -17,13 +17,14 @@ per call rather than a per-path array.  The cells of one run share
 common random numbers (their estimates are correlated, never biased),
 and memory does not grow with the grid.
 
-Reproducibility: the path budget is cut into fixed-size batches and each
-batch owns a counter-based Philox stream keyed by (seed, batch index,
-stream id).  A batch runs as consecutive blocks of BLOCK paths, each to
-the horizon, drawing from the batch's stream in block order, so memory
-stays that of one block at any batch size.  Batch results land in
-preallocated slots and merge by summation, so the result is
-bit-identical no matter how many worker threads execute the batches.
+Reproducibility: the unit of work is a block of BLOCK paths run to the
+horizon.  Block k of a run draws from its own counter-based Philox
+stream, keyed by (seed, k, stream id), so its draws depend on the seed,
+k and its own path count alone (only the last block of a run may hold
+fewer than BLOCK paths).  Block results land in preallocated slots and
+merge by summation, so the result is bit-identical however many worker
+threads run the blocks.  ``ModelConfig.batch_size`` is accepted and
+validated but affects neither the draws nor the scheduling.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ __all__ = [
     "SCAN_COLUMNS",
 ]
 
-#: stream ids separating the independent substreams of one batch
+#: stream ids separating the independent substreams of one block
 _CLAIM_STREAM, _PREMIUM_STREAM = 0, 1
 
 #: hard cap on arrivals per path within the horizon; exceeding it means
 #: G puts mass absurdly close to zero for the requested horizon
 MAX_ARRIVALS = 1_000_000
 
-#: paths per block; a batch runs as consecutive blocks run to the horizon
+#: paths per block, the unit of Monte Carlo work and of its random streams
 BLOCK = 1 << 16
 
 
@@ -117,6 +118,7 @@ class ModelConfig:
     r: float = 0.0
     premiums: tuple = (Linear(0.0), Linear(0.0))
     seed: int = 0
+    #: accepted for existing configs; draws and scheduling follow BLOCK
     batch_size: int = 2_000_000
 
     def __post_init__(self):
@@ -206,58 +208,29 @@ def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _batch_rng(config: ModelConfig, batch_index: int, stream: int):
-    key = (int(config.seed) << 64) | (batch_index << 8) | stream
+def _block_rng(config: ModelConfig, block: int, stream: int):
+    key = (int(config.seed) << 64) | (block << 8) | stream
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _batch_plan(n_paths: int, batch_size: int) -> list[int]:
+def _run_batches(worker, n_paths: int, threads: int) -> list:
+    """``worker(block, block_n)`` for each block of n_paths paths, in block order.
+
+    Every block holds BLOCK paths but the last.  The callers merge the
+    results by a plain sum, so thread scheduling cannot affect the total.
+    """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    full, rem = divmod(n_paths, batch_size)
-    return [batch_size] * full + ([rem] if rem else [])
+    sizes = [min(BLOCK, n_paths - start) for start in range(0, n_paths, BLOCK)]
+    if threads <= 1 or len(sizes) == 1:
+        return list(map(worker, range(len(sizes)), sizes))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, range(len(sizes)), sizes))
 
 
-def _run_batches(worker, n_paths: int, batch_size: int, threads: int):
-    """Execute ``worker(batch_index, batch_n)`` over the fixed batch plan.
-
-    Results are placed in order-stable slots; the merge is a plain sum,
-    so thread scheduling cannot affect the total.
-    """
-    plan = _batch_plan(n_paths, batch_size)
-    slots = [None] * len(plan)
-
-    def run(i):
-        slots[i] = worker(i, plan[i])
-
-    if threads <= 1 or len(plan) == 1:
-        for i in range(len(plan)):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(plan))))
-    return slots
-
-
-def _stream_paths(config: ModelConfig, rng, n: int, t_top: float, score,
-                  claims: int = 0, carry=None) -> None:
-    """Run n paths to the horizon t_top in consecutive blocks of BLOCK paths.
-
-    Each block runs to the horizon (see ``_stream_block``) before the next
-    one starts, drawing from ``rng`` in block order, so a batch's memory is
-    that of one block whatever its size, and its draws depend on the batch
-    alone.  Per-path ``carry`` arrays are sliced to the block's paths.
-    """
-    carry = carry or {}
-    for start in range(0, n, BLOCK):
-        m = min(BLOCK, n - start)
-        part = {k: v[start:start + m] if np.ndim(v) else v for k, v in carry.items()}
-        _stream_block(config, rng, m, t_top, score, claims, part)
-
-
-def _stream_block(config: ModelConfig, rng, n: int, t_top: float, score,
-                  claims: int, carry: dict) -> None:
-    """Run n paths to the horizon t_top, scoring every alive path once per round.
+def _stream_block(config: ModelConfig, block: int, n: int, t_top: float, score,
+                  claims: int = 0, carry: dict | None = None) -> None:
+    """Run the n paths of one block to the horizon t_top, scoring each alive path per round.
 
     Each round draws one triple per alive path and moves its clock from
     its last arrival ``t_from`` to its next one ``t_to``; an arrival at
@@ -276,9 +249,11 @@ def _stream_block(config: ModelConfig, rng, n: int, t_top: float, score,
     round's discounted claims are added to every alive path in place, and
     then all rows are compacted together by one index of the paths whose
     clocks are still <= t_top.  Paths stay in order, so the draws depend
-    on n and the stream alone.  ``score`` must not modify or keep the
-    arrays it is given.
+    on n and the block's claim stream alone.  ``score`` must not modify or
+    keep the arrays it is given.
     """
+    rng = _block_rng(config, block, _CLAIM_STREAM)
+    carry = carry or {}
     v0 = 3 + len(carry)  # rows: clock, d1, d2, carry entries, v1 block, v2 block
     rows = np.zeros((v0 + 2 * claims, n))
     for i, value in enumerate(carry.values(), 3):
@@ -327,7 +302,7 @@ def simulate_grid(config: ModelConfig, t_grid, boxes, n_paths: int, threads: int
     Returns an integer array of shape (len(t_grid), len(boxes)), rows in
     the order of ``t_grid``; each cell's estimate uses all n_paths paths
     (common random numbers across cells, which only correlates the
-    estimates, never biases them).  Each batch is one pass of the paths.
+    estimates, never biases them).  Each block is one pass of its paths.
     Each round, the paths past the lowest corner of every box are the
     candidates (a few percent); a candidate in a box counts at the grid
     times in [t_from, t_to), added to a difference array over the grid
@@ -343,8 +318,7 @@ def simulate_grid(config: ModelConfig, t_grid, boxes, n_paths: int, threads: int
     lo1 = min((box.x1 for box in boxes), default=math.inf)
     lo2 = min((box.x2 for box in boxes), default=math.inf)
 
-    def worker(batch_index: int, batch_n: int):
-        rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
+    def worker(block: int, n: int):
         diff = np.zeros((len(boxes), m + 1), dtype=np.int64)
 
         def score(t_from, t_to, state, count):
@@ -359,10 +333,10 @@ def simulate_grid(config: ModelConfig, t_grid, boxes, n_paths: int, threads: int
                 diff[j] += np.bincount(first[hit], minlength=m + 1)
                 diff[j] -= np.bincount(stop[hit], minlength=m + 1)
 
-        _stream_paths(config, rng, batch_n, grid[-1], score)
+        _stream_block(config, block, n, grid[-1], score)
         return np.cumsum(diff[:, :m], axis=1).T
 
-    hits = np.sum(_run_batches(worker, n_paths, config.batch_size, threads), axis=0)
+    hits = np.sum(_run_batches(worker, n_paths, threads), axis=0)
     return hits[np.searchsorted(grid, times)]
 
 
@@ -427,9 +401,8 @@ def simulate_net_loss(
     box = Box2(x_levels[0], x_levels[1], widths[0], widths[1])
     target = net_loss_window_shift(box, (0.0, 0.0), config.r, t)
 
-    def worker(batch_index: int, batch_n: int):
-        rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
-        s1, s2 = _premium_values(config, batch_index, batch_n, t)
+    def worker(block: int, n: int):
+        s1, s2 = _premium_values(config, block, n, t)
         hits = np.zeros(1, dtype=np.int64)
 
         def score(t_from, t_to, state, count):
@@ -438,14 +411,14 @@ def simulate_net_loss(
             net2 = state["d2"][at_t] - state["s2"][at_t]
             hits[0] += np.count_nonzero(_in_box(net1, net2, target))
 
-        _stream_paths(config, rng, batch_n, t, score, carry={"s1": s1, "s2": s2})
+        _stream_block(config, block, n, t, score, carry={"s1": s1, "s2": s2})
         return int(hits[0])
 
-    slots = _run_batches(worker, n_paths, config.batch_size, threads)
+    slots = _run_batches(worker, n_paths, threads)
     return Estimate.from_hits(int(np.sum(slots)), n_paths)
 
 
-def _premium_values(config: ModelConfig, batch_index: int, batch_n: int, t: float):
+def _premium_values(config: ModelConfig, block: int, n: int, t: float):
     out = []
     prng = None
     for p in config.premiums:
@@ -453,8 +426,8 @@ def _premium_values(config: ModelConfig, batch_index: int, batch_n: int, t: floa
             out.append(p.discounted(config.r, t))
         else:
             if prng is None:
-                prng = _batch_rng(config, batch_index, _PREMIUM_STREAM)
-            out.append(p.sample_discounted(prng, batch_n, config.r, t))
+                prng = _block_rng(config, block, _PREMIUM_STREAM)
+            out.append(p.sample_discounted(prng, n, config.r, t))
     return out
 
 
@@ -478,8 +451,7 @@ def lemma33_check(
         raise ValueError("n must be 1, 2 or 3")
     boxes = [box] if isinstance(box, Box2) else list(box)
 
-    def worker(batch_index: int, batch_n: int):
-        rng = _batch_rng(config, batch_index, _CLAIM_STREAM)
+    def worker(block: int, n_block: int):
         # per box: lhs hits, rhs sum, rhs positive paths, rhs sum of squares
         tally = np.zeros((len(boxes), 4), dtype=np.int64)
 
@@ -500,10 +472,10 @@ def lemma33_check(
                     np.dot(pair_count, pair_count),
                 )
 
-        _stream_paths(config, rng, batch_n, t, score, claims=n)
+        _stream_block(config, block, n_block, t, score, claims=n)
         return tally
 
-    tallies = np.sum(_run_batches(worker, n_paths, config.batch_size, threads), axis=0)
+    tallies = np.sum(_run_batches(worker, n_paths, threads), axis=0)
     results = [_lemma33_result(row, n_paths) for row in tallies]
     return results[0] if isinstance(box, Box2) else results
 

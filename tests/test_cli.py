@@ -186,6 +186,23 @@ def test_counterexample_runs(tmp_path):
         assert abs(witness - math.log(n + 1)) <= 1e-12, row  # f(mid_n) / f(b_n) = ln(n+1)
 
 
+def test_counterexample_needs_no_model(tmp_path):
+    # counterexample reads only counterexample_n_max
+    out = tmp_path / "out.csv"
+    doc = {"experiment": "counterexample", "counterexample_n_max": 3, "output_path": str(out)}
+    res = run_cli(tmp_path, doc)
+    assert res.returncode == 0, res.stderr
+    assert [row[0] for row in read_csv(out)[1:]] == ["1", "2", "3"]
+    res = run_cli(tmp_path, doc, "--seed", "-1")
+    assert res.returncode == 2 and "config.model.seed" in res.stderr, res.stderr
+
+
+def test_simulate_still_needs_a_model(tmp_path):
+    res = run_cli(tmp_path, {"experiment": "simulate", "grids": {"t_grid": [1.0], "x_grid": [5.0]}})
+    assert res.returncode == 2
+    assert "config.model: required field missing" in res.stderr
+
+
 def test_verify_conditions_runs(tmp_path):
     out = tmp_path / "out.csv"
     doc = make_doc("verify-conditions", output_path=str(out))

@@ -141,16 +141,29 @@ def test_marginal_wrapper_quantile_roundtrip():
         assert F.cdf(x) == pytest.approx(p, abs=1e-9)
 
 
-def _bisect_quantile(F, p):
-    """Reference quantile: bisect the CDF one probability at a time."""
-    from scipy.optimize import bisect
+def _bisect_quantile(F, p, xtol=1e-12, maxiter=300):
+    """Reference quantile: bisect the CDF on [0, x_max], every probability at once.
 
-    top = F.cdf(F.x_max)
-    return np.array([
-        F.x_max if pi >= top
-        else bisect(lambda x: F.cdf(x) - pi, 0.0, F.x_max, xtol=1e-12, maxiter=300)
-        for pi in p
-    ])
+    Step for step scipy's ``bisect``: halve the bracket, move its left end
+    while cdf(mid) <= p, and settle a probability at mid once cdf(mid) == p
+    or the half-width drops below xtol + 4 eps |mid|.  Probabilities at or
+    above cdf(x_max) map to x_max.
+    """
+    p = np.asarray(p, dtype=float)
+    x = np.where(p >= F.cdf(F.x_max), F.x_max, np.nan)
+    active = np.isnan(x)
+    lo, half = np.zeros_like(p), F.x_max
+    for _ in range(maxiter):
+        if not active.any():
+            return x
+        half *= 0.5
+        mid = lo + half
+        fm = F.cdf(mid) - p
+        lo = np.where(fm <= 0, mid, lo)
+        done = active & ((fm == 0) | (half < xtol + 4 * np.finfo(float).eps * np.abs(mid)))
+        x[done] = mid[done]
+        active &= ~done
+    raise RuntimeError("bisection did not converge")
 
 
 @pytest.mark.parametrize("n_max", [6, 8])

@@ -238,19 +238,21 @@ def _naive_paths(config, rng, n, t_grid):
     return np.cumsum(acc1, axis=1), np.cumsum(acc2, axis=1)
 
 
-def _naive_batch(config, rng, batch_n, t_grid):
-    """_naive_paths over a batch's blocks of simulate.BLOCK paths, run in order."""
-    blocks = [_naive_paths(config, rng, min(simulate.BLOCK, batch_n - start), t_grid)
-              for start in range(0, batch_n, simulate.BLOCK)]
-    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+def _blocks(n_paths):
+    """(block index, path count) of each simulate.BLOCK-path block of a run."""
+    return enumerate(min(simulate.BLOCK, n_paths - start) for start in range(0, n_paths, simulate.BLOCK))
+
+
+def _naive_block(config, block, n, t_grid):
+    """_naive_paths on the block's own claim stream."""
+    return _naive_paths(config, simulate._block_rng(config, block, simulate._CLAIM_STREAM), n, t_grid)
 
 
 def _naive_grid_hits(config, t_grid, boxes, n_paths):
     t_grid = np.asarray(t_grid, dtype=float)
     hits = np.zeros((len(t_grid), len(boxes)), dtype=np.int64)
-    for i, batch_n in enumerate(simulate._batch_plan(n_paths, config.batch_size)):
-        rng = simulate._batch_rng(config, i, simulate._CLAIM_STREAM)
-        d1, d2 = _naive_batch(config, rng, batch_n, t_grid)
+    for block, n in _blocks(n_paths):
+        d1, d2 = _naive_block(config, block, n, t_grid)
         for j, box in enumerate(boxes):
             hits[:, j] += simulate._in_box(d1, d2, box).sum(axis=0)
     return hits
@@ -281,7 +283,7 @@ def test_grid_matches_naive_reference(dep, r, boxes):
 
 
 def test_grid_blocks_match_naive_reference(monkeypatch):
-    # batches of 30000 paths run as blocks of 8192, 8192, 8192 and 5424
+    # 70000 paths run as eight blocks of 8192 and one of 4464
     monkeypatch.setattr(simulate, "BLOCK", 8192)
     cfg = make_config(dep=FrankTri(P1, P1, E1, 1.0), r=0.05, batch=30_000)
     boxes = [Box2(2.0, 2.0, 5.0, 5.0), Box2(5.0, 5.0, 10.0, 10.0)]
@@ -307,24 +309,25 @@ def compare_frank_config(batch, dep=FrankTri(P1, P1, E1, 1.0)):
 @pytest.mark.parametrize(
     "dep, batch, threads, want",
     [
-        (FrankTri(P1, P1, E1, 1.0), 500_000, 1, [[72, 6, 0], [289, 26, 1], [611, 57, 3], [1039, 128, 9]]),
-        (FrankTri(P1, P1, E1, 1.0), 70_000, 2, [[84, 8, 2], [287, 21, 5], [629, 62, 5], [1050, 120, 9]]),
-        (Independent(P1, P1, E1), 70_000, 2, [[135, 12, 1], [382, 45, 2], [777, 98, 6], [1213, 137, 5]]),
+        (FrankTri(P1, P1, E1, 1.0), 500_000, 1, [[91, 6, 1], [297, 22, 2], [600, 55, 4], [1021, 125, 9]]),
+        (FrankTri(P1, P1, E1, 1.0), 70_000, 2, [[91, 6, 1], [297, 22, 2], [600, 55, 4], [1021, 125, 9]]),
+        (Independent(P1, P1, E1), 70_000, 2, [[146, 12, 2], [371, 43, 3], [752, 93, 5], [1150, 146, 7]]),
         (NestedFrankProduct(P1, P1, E1, 0.5), 70_000, 2,
-         [[79, 12, 0], [294, 29, 0], [614, 62, 7], [1032, 119, 8]]),
+         [[93, 10, 0], [314, 28, 0], [618, 58, 6], [1052, 109, 6]]),
     ],
     ids=["one-batch", "three-batches", "independent-three-batches", "nested05-three-batches"],
 )
 def test_compare_frank_golden_hits(dep, batch, threads, want):
     # a kernel or sampler rewrite must keep the draws, and so these counts,
-    # bit for bit
+    # bit for bit; the batch size does not enter them, so the two Frank
+    # cases agree
     hits = simulate_grid(compare_frank_config(batch, dep), GRID, COMPARE_FRANK_BOXES, 200_000, threads=threads)
     np.testing.assert_array_equal(hits, want)
 
 
 def test_grid_batch_memory_is_bounded():
     # one block at a time: sampler buffers plus the three-row state, about
-    # 10 float arrays of block size, whatever the batch size
+    # 10 float arrays of block size, whatever the path count
     for n in (200_000, 1_000_000):
         cfg = compare_frank_config(n)
         simulate_grid(cfg, GRID, COMPARE_FRANK_BOXES, 1_000)  # warm up
@@ -346,7 +349,7 @@ def test_grid_rows_follow_caller_order():
 
 
 def test_net_loss_premiums_stay_paired_across_blocks(monkeypatch):
-    # batches of 40000 paths as blocks of 16384, 16384 and 7232
+    # 100000 paths as six blocks of 16384 and one of 1696
     monkeypatch.setattr(simulate, "BLOCK", 16_384)
     test_net_loss_compound_poisson_matches_reference()
 
@@ -362,10 +365,9 @@ def test_net_loss_compound_poisson_matches_reference():
     target = Box2(x[0], x[1], *widths)
     target = Box2(target.x1, target.x2, widths[0] * math.exp(-0.05 * t), widths[1] * math.exp(-0.05 * t))
     want = 0
-    for i, batch_n in enumerate(simulate._batch_plan(100_000, cfg.batch_size)):
-        rng = simulate._batch_rng(cfg, i, simulate._CLAIM_STREAM)
-        d1, d2 = _naive_batch(cfg, rng, batch_n, np.array([t]))
-        s1, s2 = simulate._premium_values(cfg, i, batch_n, t)
+    for block, n in _blocks(100_000):
+        d1, d2 = _naive_block(cfg, block, n, np.array([t]))
+        s1, s2 = simulate._premium_values(cfg, block, n, t)
         want += int(np.count_nonzero(simulate._in_box(d1[:, 0] - s1, d2[:, 0] - s2, target)))
     assert want > 100
     assert simulate_net_loss(cfg, x, t, widths, 100_000).hits == want
