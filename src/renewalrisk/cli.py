@@ -427,8 +427,8 @@ def run(cfg: dict, threads: int = 1) -> None:
     if experiment == "lemma33":
         boxes = cfg["boxes"]
         rows = []
-        for t in grids["t_grid"]:
-            results = lemma33_check(model, cfg["n"], t, boxes, cfg["n_paths"], threads=threads)
+        per_t = lemma33_check(model, cfg["n"], grids["t_grid"], boxes, cfg["n_paths"], threads=threads)
+        for t, results in zip(grids["t_grid"], per_t):
             for box, (lhs, rhs, ratio) in zip(boxes, results):
                 rows.append([t, box.x1, box.x2, box.d1, box.d2, cfg["n"],
                              lhs.value, lhs.std_error, lhs.hits,

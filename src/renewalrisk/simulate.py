@@ -7,15 +7,15 @@ intervals (Clopper-Pearson at low counts).
 
 Every estimator runs on one streaming kernel, `_stream_block`.  It keeps
 the state of the paths still alive as the rows of one matrix, compacted
-once per arrival round, and knows only the horizon.  Each round it
-passes every alive path's state, with the interval [t_from, t_to) over
-which the path holds it, to the estimator's scoring function, which
-picks the times it needs; so a whole (t, box) grid is scored in a
-single pass over the paths.  The paths of one round have all made that
-round's number of arrivals, so the arrival count N(t) is one integer
-per call rather than a per-path array.  The cells of one run share
-common random numbers (their estimates are correlated, never biased),
-and memory does not grow with the grid.
+once per arrival round.  Each round an estimator's event, a pure
+function of the alive paths' state, names the paths it scores and gives
+each a few weights (a box hit, a pair count); the kernel adds them at
+the times of the run's grid that the path's interval [t_from, t_to)
+between two arrivals holds, so one pass over the paths fills a whole
+(t, box) grid.  The paths of one round have all made that round's
+number of arrivals, so N(t) is one integer per event call rather than a
+per-path array.  The cells of one run share common random numbers (their
+estimates are correlated, never biased).
 
 Reproducibility: the unit of work is a block of BLOCK paths run to the
 horizon.  Block k of a run draws from its own counter-based Philox
@@ -228,31 +228,43 @@ def _run_batches(worker, n_paths: int, threads: int) -> list:
         return list(pool.map(worker, range(len(sizes)), sizes))
 
 
-def _stream_block(config: ModelConfig, block: int, n: int, t_top: float, score,
-                  claims: int = 0, carry: dict | None = None) -> None:
-    """Run the n paths of one block to the horizon t_top, scoring each alive path per round.
+def _time_grid(config: ModelConfig, t):
+    """The sorted distinct horizons of t (a scalar or a sequence), and each given horizon's index there."""
+    grid, index = np.unique(np.atleast_1d(np.asarray(t, dtype=float)), return_inverse=True)
+    if not (grid.size and 0 < grid[0] and grid[-1] <= config.t_max + 1e-12):
+        raise ValueError(f"horizons must lie in (0, t_max={config.t_max}]")
+    return grid, index
+
+
+def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
+                  claims: int = 0, carry: dict | None = None) -> np.ndarray:
+    """Run the n paths of one block to grid[-1]; the event's weight sums per grid time, shape (len(grid), k).
 
     Each round draws one triple per alive path and moves its clock from
     its last arrival ``t_from`` to its next one ``t_to``; an arrival at
     time s counts at every t >= s, so a path holds one state at every t
-    in [t_from, t_to).  Before the claims of ``t_to`` are added, every
-    alive path is scored by ``score(t_from, t_to, state, count)``:
-    ``state`` maps "d1", "d2" (discounted claim sums) to arrays over the
-    alive paths, plus "v1" and "v2" (the first ``claims`` discounted
-    claims, zero-padded, shape (claims, paths)) if ``claims``, and the
-    entries of ``carry`` (per-path arrays in path order, or scalars).
-    ``count`` is the round number, the arrival count N(t) on [t_from,
-    t_to) of every path.  A path is scored until t_to passes t_top, so
-    its rounds cover [0, t_top]; the scorer picks the times it needs.
+    in [t_from, t_to).  Before the claims of ``t_to`` are added,
+    ``event(state, count)`` sees every alive path: ``state`` maps "d1",
+    "d2" (discounted claim sums) to arrays over the alive paths, plus
+    "v1" and "v2" (the first ``claims`` discounted claims, zero-padded,
+    shape (claims, paths)) if ``claims``, and the entries of ``carry``
+    (per-path arrays in path order, or scalars); ``count`` is the round
+    number, N(t) on [t_from, t_to) of every path.  The event returns
+    None or ``(rows, weights)``: indices of the paths it scores and k
+    weight arrays over them.  A row's weights count at the grid times in
+    its [t_from, t_to) through a difference array over the grid that one
+    cumsum turns into sums (floats, exact for integer weights).
 
     The per-path state is one float matrix, a row per quantity.  The
     round's discounted claims are added to every alive path in place, and
     then all rows are compacted together by one index of the paths whose
-    clocks are still <= t_top.  Paths stay in order, so the draws depend
-    on n and the block's claim stream alone.  ``score`` must not modify or
-    keep the arrays it is given.
+    clocks are still <= grid[-1].  Paths stay in order, so the draws
+    depend on n and the block's claim stream alone.  ``event`` must not
+    modify or keep the arrays it is given.
     """
     rng = _block_rng(config, block, _CLAIM_STREAM)
+    m, t_top = len(grid), grid[-1]
+    diff = np.zeros((k, m + 1))
     carry = carry or {}
     v0 = 3 + len(carry)  # rows: clock, d1, d2, carry entries, v1 block, v2 block
     rows = np.zeros((v0 + 2 * claims, n))
@@ -261,15 +273,22 @@ def _stream_block(config: ModelConfig, block: int, n: int, t_top: float, score,
     for round_no in range(MAX_ARRIVALS + 1):
         live = rows[:, :n]
         clock, d1, d2 = live[0], live[1], live[2]
-        state = {"d1": d1, "d2": d2, **{k: live[i] for i, k in enumerate(carry, 3)}}
+        state = {"d1": d1, "d2": d2, **{key: live[i] for i, key in enumerate(carry, 3)}}
         if claims:
             state["v1"], state["v2"] = live[v0:v0 + claims], live[v0 + claims:]
         x1, x2, t_to = config.dependence.sample_triple(rng, n)
         t_to += clock
-        score(clock, t_to, state, round_no)
+        scored = event(state, round_no)
+        if scored is not None:
+            hit, weights = scored
+            first = np.searchsorted(grid, clock[hit], side="left")
+            stop = np.searchsorted(grid, t_to[hit], side="left")
+            for j, w in enumerate(weights):
+                diff[j] += np.bincount(first, weights=w, minlength=m + 1)
+                diff[j] -= np.bincount(stop, weights=w, minlength=m + 1)
         keep = np.flatnonzero(t_to <= t_top)
         if keep.size == 0:
-            return
+            return np.cumsum(diff[:, :m], axis=1).T
         if config.r > 0:
             disc = np.exp(-config.r * t_to)
             x1 *= disc
@@ -304,40 +323,26 @@ def simulate_grid(config: ModelConfig, t_grid, boxes, n_paths: int, threads: int
     (common random numbers across cells, which only correlates the
     estimates, never biases them).  Each block is one pass of its paths.
     Each round, the paths past the lowest corner of every box are the
-    candidates (a few percent); a candidate in a box counts at the grid
-    times in [t_from, t_to), added to a difference array over the grid
-    that one cumsum turns into counts.  A run that holds no grid time
-    adds and takes one at the same slot, so it leaves the counts alone.
+    candidates (a few percent), and each is weighted by its hit of each
+    box.
     """
-    times = np.asarray(t_grid, dtype=float)
-    grid = np.unique(times)
-    if grid[0] <= 0 or grid[-1] > config.t_max + 1e-12:
-        raise ValueError("t_grid must lie in (0, t_max]")
+    grid, index = _time_grid(config, t_grid)
     boxes = list(boxes)
-    m = len(grid)
     lo1 = min((box.x1 for box in boxes), default=math.inf)
     lo2 = min((box.x2 for box in boxes), default=math.inf)
 
+    def event(state, count):
+        cand = np.flatnonzero((state["d1"] > lo1) & (state["d2"] > lo2))
+        if cand.size == 0:
+            return None
+        d1, d2 = state["d1"][cand], state["d2"][cand]
+        return cand, [_in_box(d1, d2, box) for box in boxes]
+
     def worker(block: int, n: int):
-        diff = np.zeros((len(boxes), m + 1), dtype=np.int64)
+        return _stream_block(config, block, n, grid, len(boxes), event)
 
-        def score(t_from, t_to, state, count):
-            cand = np.flatnonzero((state["d1"] > lo1) & (state["d2"] > lo2))
-            if cand.size == 0:
-                return
-            d1, d2 = state["d1"][cand], state["d2"][cand]
-            first = np.searchsorted(grid, t_from[cand], side="left")
-            stop = np.searchsorted(grid, t_to[cand], side="left")
-            for j, box in enumerate(boxes):
-                hit = _in_box(d1, d2, box)
-                diff[j] += np.bincount(first[hit], minlength=m + 1)
-                diff[j] -= np.bincount(stop[hit], minlength=m + 1)
-
-        _stream_block(config, block, n, grid[-1], score)
-        return np.cumsum(diff[:, :m], axis=1).T
-
-    hits = np.sum(_run_batches(worker, n_paths, threads), axis=0)
-    return hits[np.searchsorted(grid, times)]
+    hits = np.sum(_run_batches(worker, n_paths, threads), axis=0).astype(np.int64)
+    return hits[index]
 
 
 def simulate_discounted_claims(
@@ -392,30 +397,26 @@ def simulate_net_loss(
     n_paths: int,
     threads: int = 1,
 ) -> Estimate:
-    """P(net loss of each class in (0, d_i]) at horizon t.
+    """P(D_i(t) - C~_i(t) in (x_i, x_i + d_i e^{-rt}] for i = 1, 2): net loss past level x_i.
 
+    D_i is the discounted claim sum, C~_i the discounted premium income.
     Shares the claim stream with simulate_discounted_claims (the premium
     stream is independent), so with deterministic premiums the event
     coincides path-by-path with the premium-shifted box event.
     """
+    grid, _ = _time_grid(config, t)
     box = Box2(x_levels[0], x_levels[1], widths[0], widths[1])
     target = net_loss_window_shift(box, (0.0, 0.0), config.r, t)
 
+    def event(state, count):
+        hit = np.flatnonzero(_in_box(state["d1"] - state["s1"], state["d2"] - state["s2"], target))
+        return hit, np.ones((1, hit.size))
+
     def worker(block: int, n: int):
         s1, s2 = _premium_values(config, block, n, t)
-        hits = np.zeros(1, dtype=np.int64)
+        return _stream_block(config, block, n, grid, 1, event, carry={"s1": s1, "s2": s2})
 
-        def score(t_from, t_to, state, count):
-            at_t = t_to > t
-            net1 = state["d1"][at_t] - state["s1"][at_t]
-            net2 = state["d2"][at_t] - state["s2"][at_t]
-            hits[0] += np.count_nonzero(_in_box(net1, net2, target))
-
-        _stream_block(config, block, n, t, score, carry={"s1": s1, "s2": s2})
-        return int(hits[0])
-
-    slots = _run_batches(worker, n_paths, threads)
-    return Estimate.from_hits(int(np.sum(slots)), n_paths)
+    return Estimate.from_hits(int(np.sum(_run_batches(worker, n_paths, threads))), n_paths)
 
 
 def _premium_values(config: ModelConfig, block: int, n: int, t: float):
@@ -432,7 +433,7 @@ def _premium_values(config: ModelConfig, block: int, n: int, t: float):
 
 
 def lemma33_check(
-    config: ModelConfig, n: int, t: float, box, n_paths: int, threads: int = 1
+    config: ModelConfig, n: int, t, box, n_paths: int, threads: int = 1
 ):
     """Compare the n-arrival box event against the sum-of-pairs expectation.
 
@@ -445,53 +446,46 @@ def lemma33_check(
     Returns (lhs, rhs, ratio) for one Box2.  ``box`` may also be a
     sequence of boxes, scored on one shared pass of the paths; the
     result is then a list of such triples, one per box, each equal to
-    what a call with that box alone returns.
+    what a call with that box alone returns.  ``t`` may also be a
+    sequence of horizons, in any order and with repeats; the result is
+    then a list of such results, one per horizon, from one pass of the
+    paths to the largest horizon.
     """
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
+    grid, index = _time_grid(config, t)
     boxes = [box] if isinstance(box, Box2) else list(box)
 
+    def event(state, count):
+        if count != n:
+            return None
+        s1, s2, v1, v2 = state["d1"], state["d2"], state["v1"], state["v2"]
+        # per box: lhs hit, rhs pair count, rhs positive, rhs pair count squared
+        weights = np.empty((len(boxes), 4, s1.size), dtype=np.int64)
+        for b, w in zip(boxes, weights):
+            in1 = ((v1 > b.x1) & (v1 <= b.x1 + b.d1)).sum(axis=0)
+            in2 = ((v2 > b.x2) & (v2 <= b.x2 + b.d2)).sum(axis=0)
+            w[1] = pair_count = in1 * in2
+            w[0], w[2], w[3] = _in_box(s1, s2, b), pair_count > 0, pair_count * pair_count
+        weights = weights.reshape(4 * len(boxes), s1.size)
+        hit = np.flatnonzero(weights.any(axis=0))
+        return hit, weights[:, hit]
+
     def worker(block: int, n_block: int):
-        # per box: lhs hits, rhs sum, rhs positive paths, rhs sum of squares
-        tally = np.zeros((len(boxes), 4), dtype=np.int64)
+        return _stream_block(config, block, n_block, grid, 4 * len(boxes), event, claims=n)
 
-        def score(t_from, t_to, state, count):
-            if count != n:
-                return
-            at_t = t_to > t  # N(t) = n on these paths
-            s1, s2 = state["d1"][at_t], state["d2"][at_t]
-            v1, v2 = state["v1"][:, at_t], state["v2"][:, at_t]
-            for j, b in enumerate(boxes):
-                in1 = ((v1 > b.x1) & (v1 <= b.x1 + b.d1)).sum(axis=0)
-                in2 = ((v2 > b.x2) & (v2 <= b.x2 + b.d2)).sum(axis=0)
-                pair_count = in1 * in2
-                tally[j] += (
-                    np.count_nonzero(_in_box(s1, s2, b)),
-                    pair_count.sum(),
-                    np.count_nonzero(pair_count),
-                    np.dot(pair_count, pair_count),
-                )
-
-        _stream_block(config, block, n_block, t, score, claims=n)
-        return tally
-
-    tallies = np.sum(_run_batches(worker, n_paths, threads), axis=0)
-    results = [_lemma33_result(row, n_paths) for row in tallies]
-    return results[0] if isinstance(box, Box2) else results
+    tallies = np.sum(_run_batches(worker, n_paths, threads), axis=0).reshape(len(grid), len(boxes), 4)
+    results = [[_lemma33_result(row, n_paths) for row in tallies[i]] for i in index]
+    results = [per_box[0] for per_box in results] if isinstance(box, Box2) else results
+    return results[0] if np.ndim(t) == 0 else results
 
 
 def _lemma33_result(tally, n_paths: int):
     lhs_hits, rhs_sum, rhs_pos, rhs_sq = (int(v) for v in tally)
     lhs = Estimate.from_hits(lhs_hits, n_paths)
     mean = rhs_sum / n_paths
-    var = max(rhs_sq / n_paths - mean**2, 0.0)
-    rhs = Estimate(
-        value=mean,
-        std_error=math.sqrt(var / n_paths),
-        ci95=(mean - 1.96 * math.sqrt(var / n_paths), mean + 1.96 * math.sqrt(var / n_paths)),
-        hits=rhs_pos,
-        n=n_paths,
-        unreliable=rhs_pos < 30,
-    )
+    se = math.sqrt(max(rhs_sq / n_paths - mean**2, 0.0) / n_paths)
+    rhs = Estimate(value=mean, std_error=se, ci95=(mean - 1.96 * se, mean + 1.96 * se),
+                   hits=rhs_pos, n=n_paths, unreliable=rhs_pos < 30)
     ratio = lhs.value / rhs.value if rhs.value > 0 else math.nan
     return lhs, rhs, ratio

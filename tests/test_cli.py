@@ -213,15 +213,23 @@ def test_verify_conditions_runs(tmp_path):
 
 
 def test_lemma33_runs(tmp_path):
-    out = tmp_path / "out.csv"
-    doc = make_doc("lemma33", output_path=str(out), n=1, n_paths=20000)
-    doc["grids"]["x_grid"] = [2.0]
-    doc["grids"]["t_grid"] = [1.0]
-    res = run_cli(tmp_path, doc)
-    assert res.returncode == 0, res.stderr
-    rows = read_csv(out)
-    hdr, row = rows[0], rows[1]
-    assert float(row[hdr.index("ratio")]) == 1.0  # n=1 is an identity
+    lines = {}
+    for t_grid in ([1.0], [0.5, 1.0]):
+        out = tmp_path / f"out{len(t_grid)}.csv"
+        doc = make_doc("lemma33", output_path=str(out), n=1, n_paths=20000)
+        doc["grids"]["x_grid"] = [2.0, 4.0]
+        doc["grids"]["t_grid"] = t_grid
+        res = run_cli(tmp_path, doc)
+        assert res.returncode == 0, res.stderr
+        lines[len(t_grid)] = out.read_text().splitlines()
+    rows = read_csv(tmp_path / "out2.csv")
+    hdr = rows[0]
+    # one row per (t, box), t outermost, in config order
+    cells = [(float(row[hdr.index("t")]), float(row[hdr.index("x1")])) for row in rows[1:]]
+    assert cells == [(0.5, 2.0), (0.5, 4.0), (1.0, 2.0), (1.0, 4.0)]
+    assert all(float(row[hdr.index("ratio")]) == 1.0 for row in rows[1:])  # n=1 is an identity
+    # one pass to the largest t: its rows are those of a run at that t alone
+    assert lines[2][3:] == lines[1][1:]
 
 
 def test_positional_experiment_overrides(tmp_path):

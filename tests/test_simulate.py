@@ -373,6 +373,83 @@ def test_net_loss_compound_poisson_matches_reference():
     assert simulate_net_loss(cfg, x, t, widths, 100_000).hits == want
 
 
+def _naive_lemma33_tallies(config, n, t_grid, boxes, n_paths):
+    """lemma33_check's four tallies per (t, box), shape (len(t_grid), len(boxes), 4).
+
+    Each block's paths run one arrival at a time to the largest t on the
+    block's own claim stream; per path the reference records N(t) at every
+    grid time (the arrivals at times <= t) and its first n discounted claim
+    pairs, which are the claims of every path with N(t) = n.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    tally = np.zeros((len(t_grid), len(boxes), 4), dtype=np.int64)
+    for block, size in _blocks(n_paths):
+        rng = simulate._block_rng(config, block, simulate._CLAIM_STREAM)
+        counts = np.zeros((size, len(t_grid)), dtype=np.int64)
+        v1, v2 = np.zeros((n, size)), np.zeros((n, size))
+        clock = np.zeros(size)
+        alive, k = np.arange(size), 0
+        while alive.size:
+            x1, x2, theta = config.dependence.sample_triple(rng, alive.size)
+            clock[alive] += theta
+            arrived = clock[alive] <= t_grid.max()
+            alive = alive[arrived]
+            sigma = clock[alive]
+            counts[alive] += sigma[:, None] <= t_grid
+            if k < n:
+                disc = np.exp(-config.r * sigma)
+                v1[k, alive] = np.asarray(x1)[arrived] * disc
+                v2[k, alive] = np.asarray(x2)[arrived] * disc
+            k += 1
+        s1, s2 = np.zeros(size), np.zeros(size)
+        for k in range(n):  # summed in arrival order, as the paths accumulate them
+            s1, s2 = s1 + v1[k], s2 + v2[k]
+        for j, box in enumerate(boxes):
+            in1 = ((v1 > box.x1) & (v1 <= box.x1 + box.d1)).sum(axis=0)
+            in2 = ((v2 > box.x2) & (v2 <= box.x2 + box.d2)).sum(axis=0)
+            pair_count = in1 * in2
+            lhs = simulate._in_box(s1, s2, box)
+            for i in range(len(t_grid)):
+                on = counts[:, i] == n
+                pc = pair_count[on]
+                tally[i, j] += (lhs[on].sum(), pc.sum(), np.count_nonzero(pc), (pc * pc).sum())
+    return tally
+
+
+def _lemma33_cells(per_t):
+    """The four tallies behind each (t, box) triple: lhs hits, rhs positives, rhs mean and its error."""
+    return [[(lhs.hits, rhs.hits, rhs.value, rhs.std_error) for lhs, rhs, _ in per_box] for per_box in per_t]
+
+
+@pytest.mark.parametrize(
+    "dep, r, t_grid, boxes",
+    [
+        (FrankTri(P1, P1, E1, 1.0), 0.05, GRID, [Box2(2.0, 2.0, 5.0, 5.0), Box2(5.0, 5.0, 10.0, 10.0)]),
+        # arrivals land exactly on grid times: pins "an arrival at s counts at t >= s"
+        (Independent(P1, P1, Deterministic(0.5)), 0.0, GRID,
+         [Box2(1.0, 1.0, 5.0, 5.0), Box2(3.0, 3.0, 20.0, 20.0), Box2(0.0, 0.0, 1e15, 1e15)]),
+        # results come back in the caller's order, repeats included
+        (FrankTri(P1, P1, E1, 1.0), 0.05, [1.5, 0.5, 2.0, 0.5],
+         [Box2(2.0, 2.0, 5.0, 5.0), Box2(5.0, 5.0, 10.0, 10.0)]),
+    ],
+    ids=["frank-discounted", "deterministic-on-grid", "unsorted-repeated"],
+)
+def test_lemma33_grid_matches_naive_reference(dep, r, t_grid, boxes):
+    cfg = make_config(dep=dep, r=r)
+    n, n_paths = 2, 70_000
+    tally = _naive_lemma33_tallies(cfg, n, t_grid, boxes, n_paths)
+    want = [[simulate._lemma33_result(row, n_paths) for row in per_box] for per_box in tally]
+    assert tally[..., 0].max(axis=0).min() > 100  # every box is exercised at some t
+    got = lemma33_check(cfg, n, t_grid, boxes, n_paths)
+    assert _lemma33_cells(got) == _lemma33_cells(want)
+    # the largest horizon reads as a run to that horizon alone
+    top = int(np.argmax(t_grid))
+    assert _lemma33_cells([lemma33_check(cfg, n, t_grid[top], boxes, n_paths)]) == _lemma33_cells([got[top]])
+    # one box gives one triple per horizon
+    one = lemma33_check(cfg, n, t_grid, boxes[0], n_paths)
+    assert _lemma33_cells([[triple] for triple in one]) == _lemma33_cells([[per_box[0]] for per_box in got])
+
+
 def test_lemma33_boxes_share_one_pass():
     cfg = make_config(dep=FrankTri(P1, P1, E1, 1.0), r=0.05, batch=60_000)
     boxes = [Box2(2.0, 2.0, 5.0, 5.0), Box2(5.0, 5.0, 10.0, 10.0)]
@@ -398,3 +475,21 @@ def test_arrival_cap_is_uniform(monkeypatch, run):
     monkeypatch.setattr(simulate, "MAX_ARRIVALS", 7)
     with pytest.raises(RuntimeError, match="arrivals"):
         run(cfg)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, 2.5, math.nan])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cfg, t: simulate_grid(cfg, [1.0, t], [Box2(1.0, 1.0, 1.0, 1.0)], 100),
+        lambda cfg, t: lemma33_check(cfg, 2, t, Box2(1.0, 1.0, 1.0, 1.0), 100),
+        lambda cfg, t: simulate_net_loss(cfg, (1.0, 1.0), t, (1.0, 1.0), 100),
+    ],
+    ids=["grid", "lemma33", "net-loss"],
+)
+def test_horizon_check_is_uniform(run, t):
+    # every estimator takes its horizons in (0, t_max] and nothing else
+    cfg = make_config()
+    with pytest.raises(ValueError, match="t_max"):
+        run(cfg, t)
+    run(cfg, 2.0)
