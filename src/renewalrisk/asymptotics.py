@@ -52,10 +52,7 @@ class Box2:
     d2: float
 
     def __post_init__(self):
-        if self.x1 < 0 or self.x2 < 0:
-            raise ValueError("box levels must be >= 0")
-        if not (0 < self.d1 < math.inf and 0 < self.d2 < math.inf):
-            raise ValueError("box widths must be positive and finite")
+        self.window1, self.window2  # each LocalWindow checks its level and width
 
     @property
     def window1(self) -> LocalWindow:
@@ -136,11 +133,12 @@ def theorem_rhs(
 
 
 def net_loss_window_shift(box: Box2, premium_rates: tuple[float, float], r: float, t: float) -> Box2:
-    """Box equivalent of the net-loss event under linear premiums.
+    """The box moved by linear premium income: the discounted-claims box of a net-loss window.
 
-    The net loss lands in (0, d] exactly when the discounted claims land
-    in the box shifted by the discounted premium income
-    c_i (1 - e^{-rt})/r (c_i t at r = 0) with widths scaled by e^{-rt}.
+    Each level x_i is raised by the discounted premium income
+    c_i (1 - e^{-rt})/r (c_i t at r = 0), and each width is scaled by
+    e^{-rt}.  The discounted claims land in the result exactly when
+    their excess over that income lands in (x_i, x_i + d_i e^{-rt}].
     """
     c1, c2 = premium_rates
     if c1 < 0 or c2 < 0 or r < 0 or t < 0:

@@ -42,6 +42,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -78,6 +79,17 @@ def _fields(doc, path: str, allowed) -> dict:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown field")
     return doc
+
+
+@contextmanager
+def _at(path: str):
+    """Re-raise a ValueError from the block as a ConfigError naming ``path``; a ConfigError passes."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _get(doc: dict, key: str, path: str, required: bool = True, default=None):
@@ -144,7 +156,7 @@ def _variant(doc, tag: str, path: str, fields: dict, what: str) -> str:
 
 def parse_marginal(doc, path: str) -> Marginal:
     family = _variant(doc, "family", path, MARGINAL_FIELDS, "family")
-    try:
+    with _at(path):
         if family == "pareto":
             return Pareto(_num(doc, "alpha", path))
         if family == "weibull":
@@ -154,15 +166,11 @@ def parse_marginal(doc, path: str) -> Marginal:
         if family == "deterministic":
             return Deterministic(_num(doc, "value", path))
         return CounterexampleF(_int(doc, "n_max", path, default=N_MAX_LIMIT, lo=1, hi=N_MAX_LIMIT + 1))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_dependence(doc, f1, f2, g, path: str) -> DependenceSpec:
     kind = _variant(doc, "kind", path, DEPENDENCE_FIELDS, "dependence")
-    try:
+    with _at(path):
         if kind == "independent":
             return Independent(f1, f2, g)
         if kind == "frank-tri":
@@ -173,34 +181,19 @@ def parse_dependence(doc, f1, f2, g, path: str) -> DependenceSpec:
             if gamma > 1:
                 raise ConfigError(f"{path}.gamma: the nested-product structure is a valid "
                                   f"copula only for 0 < gamma <= 1, got {gamma}")
-            if gamma == 1:
-                print(
-                    f"warning: {path}.gamma = {gamma}: the nested-product "
-                    "structure needs 0 < gamma < 1 for a positive lower "
-                    "bound of the cross-conditional weight",
-                    file=sys.stderr,
-                )
             return spec
         return SarmanovFGM(
             f1, f2, g,
             _num(doc, "g12", path), _num(doc, "g13", path), _num(doc, "g23", path),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_premium(doc, path: str):
     kind = _variant(doc, "kind", path, PREMIUM_FIELDS, "premium")
-    try:
+    with _at(path):
         if kind == "linear":
             return Linear(_num(doc, "rate", path))
         return CompoundPoisson(_num(doc, "rate", path), parse_marginal(_get(doc, "jump", path), f"{path}.jump"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 #: each experiment and the grids it requires; the four that need t_grid are
@@ -220,6 +213,9 @@ EXPERIMENTS = {
 #: the sampler, which holds while e^-gamma is a normal double.
 FRANK_QUADRATURE_GAMMA_MAX = 20.0
 FRANK_GAMMA_MAX = {"simulate": 700.0, "lemma33": 700.0, "counterexample": math.inf}
+#: the experiments that tilt the renewal measure by the weights h_i and g,
+#: which must stay positive; nested-frank-product at gamma = 1 has g(0) = 0
+TILTING = ("renewal", "asymptotic", "compare")
 
 
 def _grids(doc: dict, experiment: str, t_max: float) -> dict:
@@ -251,10 +247,8 @@ def _boxes(doc: dict, grids: dict) -> list:
         return [Box2(x, x, grids["d"], grids["d"]) for x in grids["x_grid"]]
     box_doc = _fields(doc["box"], "config.box", BOX_FIELDS)
     levels = [_num(box_doc, k, "config.box") for k in BOX_FIELDS]
-    try:
+    with _at("config.box"):
         return [Box2(*levels)]
-    except ValueError as exc:
-        raise ConfigError(f"config.box: {exc}") from exc
 
 
 def _model(model_doc, seed: int | None) -> ModelConfig:
@@ -281,10 +275,8 @@ def _model(model_doc, seed: int | None) -> ModelConfig:
     batch_size = _int(model_doc, "batch_size", "config.model", default=2_000_000, lo=1)
     t_max = _num(model_doc, "t_max", "config.model")
     r = _num(model_doc, "r", "config.model", required=False, default=0.0)
-    try:
+    with _at("config.model"):
         return ModelConfig(dependence=dep, t_max=t_max, r=r, premiums=premiums, seed=seed, batch_size=batch_size)
-    except ValueError as exc:
-        raise ConfigError(f"config.model: {exc}") from exc
 
 
 def parse_config(doc: dict, experiment: str | None = None, seed: int | None = None) -> dict:
@@ -313,6 +305,13 @@ def parse_config(doc: dict, experiment: str | None = None, seed: int | None = No
     if isinstance(dep, FrankTri) and dep.gamma > gamma_max:
         raise ConfigError(f"config.model.dependence.gamma: {experiment} with frank-tri "
                           f"needs gamma <= {gamma_max:g}, got {dep.gamma}")
+    if isinstance(dep, NestedFrankProduct) and dep.gamma == 1:
+        if experiment in TILTING:
+            raise ConfigError(f"config.model.dependence.gamma: {experiment} with nested-frank-product "
+                              f"needs gamma < 1, where the weight g stays positive, got {dep.gamma}")
+        print(f"warning: config.model.dependence.gamma = {dep.gamma}: the nested-product structure "
+              "needs 0 < gamma < 1 for positive lower bounds of the weights g and g_ij",
+              file=sys.stderr)
     t_max = model.t_max if model is not None else math.inf
     grids = _grids(doc, experiment, t_max)
     renewal_step = _num(doc, "renewal_step", "config", required=False, default=t_max / 2000)

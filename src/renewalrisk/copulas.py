@@ -73,9 +73,6 @@ class BoundsReport:
     c3: float
     warnings: tuple[str, ...] = ()
 
-    def valid(self) -> bool:
-        return min(self.b_lower, self.d_lower, self.a_lower) > 0.0
-
 
 class DependenceSpec:
     """Joint law of (X1, X2, theta) through a copula and three marginals."""
@@ -463,8 +460,9 @@ class NestedFrankProduct(_Frank):
 
     C(u, v, w) = C_gamma(u*v, w).  The joint density stays nonnegative on
     the unit cube only for 0 < gamma <= 1 (at larger gamma it goes
-    negative near the corner (1,1,0), which C-volume checks detect); the
-    same restriction keeps the horizon bounds of g and g_ij positive.
+    negative near the corner (1,1,0), which C-volume checks detect).  The
+    horizon bounds of g and g_ij stay positive only for gamma < 1: at
+    gamma = 1, g(0) = 0.
     Construction accepts any gamma > 0 so the failure is observable.
     """
 
@@ -568,13 +566,14 @@ def bounds_over_horizon(spec: DependenceSpec, horizon: float) -> BoundsReport:
 
     ``b`` bounds come from h_i over 101 points s in [0, T], ``d`` bounds
     from g, and ``a`` bounds from g_ij over the (z, s) grid, z in 0..50
-    and 1e2..1e12.  C1-C3 are estimated as the largest conditional/
+    and 1e2..1e12.  A weight whose grid minimum is <= 0 fails its
+    condition (h_i Condition 1, g Condition 2, g_ij Condition 3), with one
+    warning each.  C1-C3 are estimated as the largest conditional/
     unconditional local-probability ratio minus 1 over the grids, probing
     the windows (x, x+1] for x = 1e3 and 1e4.
     """
     s_grid = np.linspace(0.0, horizon, 101)
     z_grid = np.concatenate([np.linspace(0.0, 50.0, 51), [1e2, 1e3, 1e6, 1e12]])
-    warnings = []
 
     h_vals = np.concatenate([np.asarray(spec.h_func(i, s_grid)).ravel() for i in (1, 2)])
     g_vals = np.asarray(spec.g_func(s_grid)).ravel()
@@ -582,12 +581,9 @@ def bounds_over_horizon(spec: DependenceSpec, horizon: float) -> BoundsReport:
     gij_vals = np.concatenate(
         [np.asarray(spec.g_ij_func(i, zz, ss)).ravel() for i in (1, 2)]
     )
-    if isinstance(spec, NestedFrankProduct) and spec.gamma >= 1:
-        warnings.append(
-            "nested-product variant needs 0 < gamma < 1 for a positive lower g_ij bound"
-        )
-    if gij_vals.min() <= 0:
-        warnings.append("g_ij is nonpositive on the grid: Condition 3 fails for this horizon")
+    warnings = tuple(f"{name} is nonpositive on the grid: Condition {k} fails for this horizon"
+                     for name, k, vals in (("h_i", 1, h_vals), ("g", 2, g_vals), ("g_ij", 3, gij_vals))
+                     if vals.min() <= 0)
 
     c1 = c2 = c3 = 0.0
     for x in (1e3, 1e4):
@@ -612,7 +608,7 @@ def bounds_over_horizon(spec: DependenceSpec, horizon: float) -> BoundsReport:
         c1=max(c1, 0.0),
         c2=max(c2, 0.0),
         c3=max(c3, 0.0),
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -650,7 +646,8 @@ def condition_ratio_scan(
             asym = local_prob(fi, win) * np.asarray(spec.g_ij_func(i, zz, ss))
         else:
             raise ValueError("condition must be 1, 2 or 3")
-        out[k] = float(np.max(np.abs(exact / asym - 1.0)))
+        with np.errstate(divide="ignore"):  # a vanishing weight (g at nested gamma = 1) reads inf
+            out[k] = float(np.max(np.abs(exact / asym - 1.0)))
     return out
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import Box2, net_loss_window_shift, theorem_rhs
+from .asymptotics import Box2, theorem_rhs
 from .copulas import DependenceSpec
 from .marginals import Marginal
 
@@ -73,15 +73,11 @@ class Linear:
         if self.rate < 0:
             raise ValueError("premium rate must be >= 0")
 
-    def discounted(self, r: float, t: float) -> float:
-        """int_0^t e^{-ry} C(dy), a closed form."""
+    def discounted(self, rng, n: int, r: float, t: float) -> float:
+        """int_0^t e^{-ry} C(dy), a closed form shared by all n paths; draws nothing from rng."""
         if r == 0:
             return self.rate * t
         return self.rate * (-math.expm1(-r * t)) / r
-
-    @property
-    def deterministic(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -95,11 +91,7 @@ class CompoundPoisson:
         if self.rate <= 0:
             raise ValueError("jump arrival rate must be > 0")
 
-    @property
-    def deterministic(self) -> bool:
-        return False
-
-    def sample_discounted(self, rng, n: int, r: float, t: float) -> np.ndarray:
+    def discounted(self, rng, n: int, r: float, t: float) -> np.ndarray:
         """Per-path int_0^t e^{-ry} C(dy) by simulating the jumps."""
         counts = rng.poisson(self.rate * t, size=n)
         total = int(counts.sum())
@@ -222,9 +214,7 @@ def _run_batches(worker, n_paths: int, threads: int) -> list:
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     sizes = [min(BLOCK, n_paths - start) for start in range(0, n_paths, BLOCK)]
-    if threads <= 1 or len(sizes) == 1:
-        return list(map(worker, range(len(sizes)), sizes))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         return list(pool.map(worker, range(len(sizes)), sizes))
 
 
@@ -405,8 +395,8 @@ def simulate_net_loss(
     coincides path-by-path with the premium-shifted box event.
     """
     grid, _ = _time_grid(config, t)
-    box = Box2(x_levels[0], x_levels[1], widths[0], widths[1])
-    target = net_loss_window_shift(box, (0.0, 0.0), config.r, t)
+    scale = math.exp(-config.r * t)
+    target = Box2(x_levels[0], x_levels[1], widths[0] * scale, widths[1] * scale)
 
     def event(state, count):
         hit = np.flatnonzero(_in_box(state["d1"] - state["s1"], state["d2"] - state["s2"], target))
@@ -420,16 +410,9 @@ def simulate_net_loss(
 
 
 def _premium_values(config: ModelConfig, block: int, n: int, t: float):
-    out = []
-    prng = None
-    for p in config.premiums:
-        if p.deterministic:
-            out.append(p.discounted(config.r, t))
-        else:
-            if prng is None:
-                prng = _block_rng(config, block, _PREMIUM_STREAM)
-            out.append(p.sample_discounted(prng, n, config.r, t))
-    return out
+    """Each premium's discounted income at t over the block's n paths, from the block's premium stream."""
+    rng = _block_rng(config, block, _PREMIUM_STREAM)
+    return [p.discounted(rng, n, config.r, t) for p in config.premiums]
 
 
 def lemma33_check(

@@ -286,6 +286,9 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
         # the nested structure is a copula only for gamma <= 1; its sampler emits NaN at 20
         ("simulate", {"model": {"dependence": {"kind": "nested-frank-product", "gamma": 20.0}}},
          "config.model.dependence.gamma", ()),
+        # at gamma = 1, g(0) = 0: the experiments that tilt the renewal measure by g reject it
+        *((experiment, {"model": {"dependence": {"kind": "nested-frank-product", "gamma": 1.0}}},
+           "config.model.dependence.gamma", ()) for experiment in ("renewal", "asymptotic", "compare")),
         # frank-tri: gamma <= 20 wherever its quadrature formulas are used, <= 700 for the sampler alone
         ("verify-conditions", {"model": {"dependence": {"kind": "frank-tri", "gamma": 21.0}}},
          "config.model.dependence.gamma", ()),
@@ -319,6 +322,7 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
          "grids-not-object", "model-not-object", "dependence-not-object", "premium-not-object",
          "verify-x-negative", "verify-d-zero", "verify-s-negative", "verify-s-beyond-t-max",
          "renewal-premium", "compare-premium", "gamma-nan", "nested-gamma-above-one",
+         "nested-gamma-one-renewal", "nested-gamma-one-asymptotic", "nested-gamma-one-compare",
          "frank-gamma-verify", "frank-gamma-asymptotic", "frank-gamma-simulate",
          "experiment-not-string", "output-path-not-string",
          "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative",
@@ -347,6 +351,20 @@ def test_nested_gamma_one_warns(tmp_path):
     res = run_cli(tmp_path, doc)
     assert res.returncode == 0, res.stderr
     assert "warning: config.model.dependence.gamma" in res.stderr
+
+
+def test_verify_conditions_nested_gamma_one(tmp_path):
+    # a vanishing g fails Condition 2: an honest inf, with no numpy warning on stderr
+    doc = make_doc("verify-conditions")
+    doc["model"]["dependence"] = {"kind": "nested-frank-product", "gamma": 1.0}
+    doc["grids"]["x_grid"] = [10.0, 100.0]
+    res = run_cli(tmp_path, doc)
+    assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert "warning: g is nonpositive on the grid: Condition 2 fails for this horizon" in res.stderr
+    rows = list(csv.reader(res.stdout.splitlines()))
+    cond2 = [float(row[3]) for row in rows[1:] if row[0] == "2"]
+    assert len(cond2) == 2 and all(dev == math.inf for dev in cond2)
 
 
 def test_frank_simulate_at_large_gamma(tmp_path):

@@ -409,7 +409,8 @@ def test_frank_gamma_validation():
 def test_bounds_over_horizon_frank():
     spec = FrankTri(P1, P1, E1, 1.0)
     rep = bounds_over_horizon(spec, 2.0)
-    assert rep.valid()
+    assert rep.warnings == ()
+    assert min(rep.b_lower, rep.d_lower, rep.a_lower) > 0
     assert rep.b_lower <= 1.0 <= rep.b_upper  # E h = 1 forces a sandwich
     assert rep.d_lower <= rep.d_upper
     assert rep.a_lower > 0
@@ -421,7 +422,17 @@ def test_bounds_over_horizon_frank():
 
 def test_bounds_over_horizon_nested_warns():
     rep = bounds_over_horizon(NestedFrankProduct(P1, P1, E1, 2.0), 2.0)
-    assert any("gamma" in w for w in rep.warnings)
+    assert rep.warnings == (
+        "g is nonpositive on the grid: Condition 2 fails for this horizon",
+        "g_ij is nonpositive on the grid: Condition 3 fails for this horizon",
+    )
+
+
+def test_bounds_over_horizon_nested_gamma_one_fails_condition_2_only():
+    # g(0) = 0 at gamma = 1, while h_i and g_ij stay positive
+    rep = bounds_over_horizon(NestedFrankProduct(P1, P1, E1, 1.0), 2.0)
+    assert rep.d_lower <= 0 < min(rep.b_lower, rep.a_lower)
+    assert rep.warnings == ("g is nonpositive on the grid: Condition 2 fails for this horizon",)
 
 
 def test_h_g_closed_forms_frank():

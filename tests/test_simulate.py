@@ -28,8 +28,11 @@ def make_config(dep=None, r=0.0, seed=17, t_max=2.0, batch=100_000):
 
 def test_linear_premium_discounted():
     p = Linear(2.0)
-    assert p.discounted(0.0, 3.0) == pytest.approx(6.0)
-    assert p.discounted(0.1, 3.0) == pytest.approx(2.0 * (1 - math.exp(-0.3)) / 0.1)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert p.discounted(rng, 10, 0.0, 3.0) == pytest.approx(6.0)
+    assert p.discounted(rng, 10, 0.1, 3.0) == pytest.approx(2.0 * (1 - math.exp(-0.3)) / 0.1)
+    assert rng.bit_generator.state == state  # a closed form draws nothing
     with pytest.raises(ValueError):
         Linear(-1.0)
 
@@ -37,7 +40,7 @@ def test_linear_premium_discounted():
 def test_compound_poisson_premium_moments():
     cp = CompoundPoisson(rate=3.0, jump_dist=Exponential(2.0))
     rng = np.random.default_rng(5)
-    vals = cp.sample_discounted(rng, 200_000, 0.0, 2.0)
+    vals = cp.discounted(rng, 200_000, 0.0, 2.0)
     assert vals.mean() == pytest.approx(3.0 * 2.0 * 0.5, rel=0.02)
     assert np.all(vals >= 0)
 
