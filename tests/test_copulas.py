@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -250,6 +251,39 @@ def test_conditional_window_probs_match_corner_differences(spec):
     assert float(spec.cond_local_prob_given_other(1, win1, z, s)) == pytest.approx(
         float(naive_o), rel=1e-7
     )
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_claim_exchange(spec):
+    # claim 2 of a spec is claim 1 of the spec with the claims swapped (f1 <-> f2,
+    # and for FGM the claim-time couplings g13 <-> g23)
+    coeffs = {"g13": spec.g23, "g23": spec.g13} if type(spec) is SarmanovFGM else {}
+    swapped = dataclasses.replace(spec, f1=spec.f2, f2=spec.f1, **coeffs)
+    s = np.linspace(0.0, 3.0, 7)
+    zz, ss = np.meshgrid([0.0, 0.5, 3.0, 1e3], s, indexing="ij")
+    wins = [LocalWindow(0.0, 0.5), LocalWindow(2.0, 1.5), LocalWindow(1e3, 1.0)]
+
+    def same(got, want):
+        np.testing.assert_allclose(np.asarray(got), np.asarray(want), rtol=1e-12, atol=0)
+
+    same(spec.h_func(2, s), swapped.h_func(1, s))
+    same(spec.g_ij_func(2, zz, ss), swapped.g_ij_func(1, zz, ss))
+    for win in wins:
+        same(spec.cond_local_prob_given_theta(2, win, s), swapped.cond_local_prob_given_theta(1, win, s))
+        same(spec.cond_local_prob_given_other(2, win, zz, ss),
+             swapped.cond_local_prob_given_other(1, win, zz, ss))
+        for win2 in wins:
+            same(spec.cond_joint_local_prob_given_theta(win, win2, s),
+                 swapped.cond_joint_local_prob_given_theta(win2, win, s))
+
+
+def test_independent_sampler_is_the_zero_coefficient_fgm_sampler():
+    # Independent.sample_uniform is a shortcut: the same bits, sign bits included
+    n = 1 << 16
+    fast = Independent(P1, P2, E1).sample_uniform(np.random.default_rng(3), n)
+    slow = SarmanovFGM(P1, P2, E1, 0.0, 0.0, 0.0).sample_uniform(np.random.default_rng(3), n)
+    for a, b in zip(fast, slow):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize(
