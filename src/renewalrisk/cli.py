@@ -173,19 +173,18 @@ def parse_dependence(doc, f1, f2, g, path: str) -> DependenceSpec:
     with _at(path):
         if kind == "independent":
             return Independent(f1, f2, g)
+        if kind == "sarmanov-fgm":
+            return SarmanovFGM(f1, f2, g, _num(doc, "g12", path), _num(doc, "g13", path), _num(doc, "g23", path))
+        gamma = _num(doc, "gamma", path)
+        if gamma < FRANK_GAMMA_MIN:
+            raise ConfigError(f"{path}.gamma: {kind} needs gamma >= {FRANK_GAMMA_MIN:g}, "
+                              f"where its generator algebra keeps its accuracy, got {gamma}")
         if kind == "frank-tri":
-            return FrankTri(f1, f2, g, _num(doc, "gamma", path))
-        if kind == "nested-frank-product":
-            gamma = _num(doc, "gamma", path)
-            spec = NestedFrankProduct(f1, f2, g, gamma)
-            if gamma > 1:
-                raise ConfigError(f"{path}.gamma: the nested-product structure is a valid "
-                                  f"copula only for 0 < gamma <= 1, got {gamma}")
-            return spec
-        return SarmanovFGM(
-            f1, f2, g,
-            _num(doc, "g12", path), _num(doc, "g13", path), _num(doc, "g23", path),
-        )
+            return FrankTri(f1, f2, g, gamma)
+        if gamma > 1:
+            raise ConfigError(f"{path}.gamma: the nested-product structure is a valid "
+                              f"copula only for 0 < gamma <= 1, got {gamma}")
+        return NestedFrankProduct(f1, f2, g, gamma)
 
 
 def parse_premium(doc, path: str):
@@ -213,6 +212,17 @@ EXPERIMENTS = {
 #: the sampler, which holds while e^-gamma is a normal double.
 FRANK_QUADRATURE_GAMMA_MAX = 20.0
 FRANK_GAMMA_MAX = {"simulate": 700.0, "lemma33": 700.0, "counterexample": math.inf}
+#: the smallest gamma of either Frank variant, in every experiment.  Below 1
+#: the generator algebra loses about eps/gamma: at gamma = 1e-12 the frank-tri
+#: sampler returns exact zeros for 7e-5 of its W draws and the nested g is off
+#: by 2e-5 relative (against mpmath); at 1e-16 44% of the W draws are 0 and
+#: some reach 1.11, at 1e-17 all are 0 (`simulate` then never reaches the
+#: horizon), and frank-tri's Condition-2 deviation reads 1.0 at 1e-39.  At
+#: 1e-6 every one of these holds to 1e-10 or better.
+FRANK_GAMMA_MIN = 1e-6
+#: the experiments that read the dependence weights or the conditional window
+#: probabilities, and so reach theta through G(s)
+QUADRATURE = ("renewal", "asymptotic", "compare", "copula-check", "verify-conditions")
 #: the experiments that tilt the renewal measure by the weights h_i and g,
 #: which must stay positive; nested-frank-product at gamma = 1 has g(0) = 0
 TILTING = ("renewal", "asymptotic", "compare")
@@ -302,6 +312,12 @@ def parse_config(doc: dict, experiment: str | None = None, seed: int | None = No
 
     gamma_max = FRANK_GAMMA_MAX.get(experiment, FRANK_QUADRATURE_GAMMA_MAX)
     dep = model.dependence if model is not None else None
+    # a point-mass theta is one constant for every W, so given theta the claims
+    # keep their marginals, but the weights read it through the 0/1 step G(s)
+    if (experiment in QUADRATURE and isinstance(dep.g_dist, Deterministic)
+            and not (isinstance(dep, SarmanovFGM) and dep.g13 == dep.g23 == 0)):
+        raise ConfigError(f"config.model.g: {experiment} with a deterministic g needs claims independent "
+                          "of theta (independent, or sarmanov-fgm with g13 = g23 = 0)")
     if isinstance(dep, FrankTri) and dep.gamma > gamma_max:
         raise ConfigError(f"config.model.dependence.gamma: {experiment} with frank-tri "
                           f"needs gamma <= {gamma_max:g}, got {dep.gamma}")

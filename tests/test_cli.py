@@ -242,6 +242,7 @@ def test_positional_experiment_overrides(tmp_path):
 
 
 VERIFY_S_GRID = [0.0, 0.5, 1.0]
+DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
 
 
 @pytest.mark.parametrize(
@@ -296,6 +297,30 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
          "config.model.dependence.gamma", ()),
         ("simulate", {"model": {"dependence": {"kind": "frank-tri", "gamma": 701.0}}},
          "config.model.dependence.gamma", ()),
+        # both Frank variants lose about eps/gamma below gamma = 1e-6, in every experiment
+        ("simulate", {"model": {"dependence": {"kind": "frank-tri", "gamma": 1e-20}}},
+         "config.model.dependence.gamma", ()),
+        ("verify-conditions", {"model": {"dependence": {"kind": "frank-tri", "gamma": 1e-39}}},
+         "config.model.dependence.gamma", ()),
+        ("copula-check", {"model": {"dependence": {"kind": "frank-tri", "gamma": 0.0}}},
+         "config.model.dependence.gamma", ()),
+        ("lemma33", {"model": {"dependence": {"kind": "nested-frank-product", "gamma": 9e-7}}},
+         "config.model.dependence.gamma", ()),
+        ("counterexample", {"model": {"dependence": {"kind": "nested-frank-product", "gamma": 1e-12}}},
+         "config.model.dependence.gamma", ()),
+        # a deterministic g makes theta one constant, which the claims never see; the
+        # experiments that read theta through G(s) need claims independent of theta
+        ("copula-check", {"model": {"g": DETERMINISTIC_G}}, "config.model.g", ()),
+        ("compare", {"model": {"g": DETERMINISTIC_G}}, "config.model.g", ()),
+        ("renewal", {"model": {"g": DETERMINISTIC_G,
+                               "dependence": {"kind": "nested-frank-product", "gamma": 0.5}}},
+         "config.model.g", ()),
+        ("asymptotic", {"model": {"g": DETERMINISTIC_G,
+                                  "dependence": {"kind": "sarmanov-fgm", "g12": 0.3, "g13": 0.0, "g23": 0.4}}},
+         "config.model.g", ()),
+        ("verify-conditions", {"model": {"g": DETERMINISTIC_G,
+                                         "dependence": {"kind": "sarmanov-fgm", "g12": 0.0, "g13": -0.2, "g23": 0.0}}},
+         "config.model.g", ()),
         # an unhashable experiment or a non-string output path is a config error, not a crash
         ("simulate", {"experiment": ["simulate"]}, "config.experiment", ()),
         ("simulate", {"output_path": 1}, "config.output_path", ()),
@@ -324,6 +349,10 @@ VERIFY_S_GRID = [0.0, 0.5, 1.0]
          "renewal-premium", "compare-premium", "gamma-nan", "nested-gamma-above-one",
          "nested-gamma-one-renewal", "nested-gamma-one-asymptotic", "nested-gamma-one-compare",
          "frank-gamma-verify", "frank-gamma-asymptotic", "frank-gamma-simulate",
+         "frank-gamma-floor-simulate", "frank-gamma-floor-verify", "frank-gamma-zero-copula-check",
+         "nested-gamma-floor-lemma33", "nested-gamma-floor-counterexample",
+         "deterministic-g-copula-check", "deterministic-g-compare", "deterministic-g-renewal-nested",
+         "deterministic-g-asymptotic-fgm", "deterministic-g-verify-fgm",
          "experiment-not-string", "output-path-not-string",
          "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative",
          "unknown-top-level", "unknown-model", "unknown-grids", "unknown-box", "unknown-marginal",
@@ -343,6 +372,26 @@ def test_config_contract_exit_2(tmp_path, experiment, change, path, args):
     assert res.returncode == 2, res.stderr
     assert path in res.stderr
     assert res.stderr.count(path) == 1, res.stderr  # named once, not wrapped twice
+
+
+@pytest.mark.parametrize(
+    "experiment, dependence",
+    [
+        ("simulate", {"kind": "frank-tri", "gamma": 1.0}),
+        ("lemma33", {"kind": "nested-frank-product", "gamma": 0.5}),
+        ("copula-check", {"kind": "independent"}),
+        ("compare", {"kind": "sarmanov-fgm", "g12": 0.3, "g13": 0.0, "g23": 0.0}),
+    ],
+    ids=["simulate-frank", "lemma33-nested", "copula-check-independent", "compare-fgm-g12"],
+)
+def test_deterministic_g_accepted(tmp_path, experiment, dependence):
+    # the Monte Carlo experiments only sample theta, and claims independent of
+    # theta make the weights 1 whatever G is
+    doc = make_doc(experiment, n_paths=1000, n_boxes=1000)
+    doc["model"].update(g=DETERMINISTIC_G, dependence=dependence)
+    res = run_cli(tmp_path, doc)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) > 1
 
 
 def test_nested_gamma_one_warns(tmp_path):
