@@ -10,14 +10,18 @@ one arrival carries both large claims.
 The integrand is smooth in (u, v) while the measures carry the
 roughness, so it is evaluated at cell midpoints against the measures'
 cell increments.  The cross term's two convolution sums go through the
-real-FFT helper ``renewal._conv_head``, so a call on K grid cells costs
+real-FFT helper ``renewal._conv_heads``, so a call on K grid cells costs
 O(K log K) instead of the O(K^2) of a direct sum.
 
 The result is claimed uniformly in t, so a box is evaluated over a whole
 t grid.  Every array built for a horizon t is a prefix of the one built
 for the largest horizon, and so is the head of their convolution; one
-pass per box therefore builds the terms and the FFT heads once, and each
-t reads its cross and diagonal terms as sums over prefixes.  Those sums
+pass therefore builds the terms and the FFT heads once, and each t reads
+its cross and diagonal terms as sums over prefixes.  A pass takes a
+whole sequence of boxes: the cell midpoints, the tau grid and the
+transforms of the two singly-tilted measures' increments are shared, so
+each further box costs four scaled window probabilities over the grid
+and two forward-inverse transform pairs.  Those sums
 are numpy's pairwise ``.sum()``, not ``np.dot``: numpy hands a float dot
 to BLAS, and a threaded BLAS splits a long 1-D dot across cores, where
 it stalls for milliseconds whenever another process holds one of them.
@@ -32,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .marginals import LocalWindow, Marginal, scaled_local_prob
-from .renewal import TiltedMeasure, _conv_head
+from .renewal import TiltedMeasure, _conv_heads
 
 __all__ = [
     "Box2",
@@ -73,13 +77,13 @@ class AsymptoticValue:
 def theorem_rhs(
     f1: Marginal,
     f2: Marginal,
-    box: Box2,
+    box: Box2 | Sequence[Box2],
     r: float,
     t: float | Sequence[float],
     tilted_1: TiltedMeasure,
     tilted_2: TiltedMeasure,
     tilted_joint: TiltedMeasure,
-) -> AsymptoticValue | list[AsymptoticValue]:
+):
     """Evaluate the asymptotic right-hand side at horizon t.
 
     cross_term integrates P(X1 e^{-r(u+v)} in box1) P(X2 e^{-rv} in box2)
@@ -88,14 +92,18 @@ def theorem_rhs(
     diagonal_term integrates the product of both scaled window
     probabilities at a common time against the jointly-tilted measure.
 
-    Returns one AsymptoticValue for a scalar t.  ``t`` may also be a
-    sequence of horizons, in any order and with repeats; the result is
-    then a list with one value per horizon, each built from prefixes of
-    one pass up to the largest horizon.
+    Returns one AsymptoticValue for one Box2 and a scalar t.  ``box``
+    may also be a sequence of boxes; the result is then a list with one
+    value per box, each equal to what a call with that box alone
+    returns.  ``t`` may also be a sequence of horizons, in any order and
+    with repeats; the result is then a list of such results, one per
+    horizon.  Either way it comes from one pass up to the largest
+    horizon.
     """
     grid = tilted_1.grid
     h = grid.step
     ts = [float(t)] if np.ndim(t) == 0 else [float(v) for v in t]
+    boxes = [box] if isinstance(box, Box2) else list(box)
     for tv in ts:
         if not 0.0 <= tv <= grid.t_max + 0.5 * h:
             raise ValueError(f"t={tv} outside the tilted-measure grid [0, {grid.t_max}]")
@@ -114,22 +122,26 @@ def theorem_rhs(
     inc2 = tilted_2.increments[1 : k_max + 1]
     incj = tilted_joint.increments[1 : k_max + 1]
     mids = h * (np.arange(1, k_max + 1) - 0.5)
-    p1_mid = scaled_local_prob(f1, box.window1, r, mids)
-    p2_mid = scaled_local_prob(f2, box.window2, r, mids)
-    diag_terms = p1_mid * p2_mid * incj
-
     tau = h * np.arange(1, n_max + 1)  # u + v for s = 2..s_cap
-    conv_a = _conv_head(inc1, p2_mid * inc2, n_max)
-    conv_b = _conv_head(p1_mid * inc1, inc2, n_max)
-    cross_terms = scaled_local_prob(f1, box.window1, r, tau) * conv_a
-    cross_terms += scaled_local_prob(f2, box.window2, r, tau) * conv_b
+    p1_mids = [scaled_local_prob(f1, b.window1, r, mids) for b in boxes]
+    p2_mids = [scaled_local_prob(f2, b.window2, r, mids) for b in boxes]
+    conv_as = _conv_heads(inc1, [p2_mid * inc2 for p2_mid in p2_mids], n_max)
+    conv_bs = _conv_heads(inc2, [p1_mid * inc1 for p1_mid in p1_mids], n_max)
 
     # pairwise .sum(), not np.dot: see the module docstring on BLAS
-    values = []
-    for k, n in zip(k_ts, n_cross):
-        cross, diagonal = float(cross_terms[:n].sum()), float(diag_terms[:k].sum())
-        values.append(AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal))
-    return values[0] if np.ndim(t) == 0 else values
+    per_box = []
+    for b, p1_mid, p2_mid, conv_a, conv_b in zip(boxes, p1_mids, p2_mids, conv_as, conv_bs):
+        diag_terms = p1_mid * p2_mid * incj
+        cross_terms = scaled_local_prob(f1, b.window1, r, tau) * conv_a
+        cross_terms += scaled_local_prob(f2, b.window2, r, tau) * conv_b
+        values = []
+        for k, n in zip(k_ts, n_cross):
+            cross, diagonal = float(cross_terms[:n].sum()), float(diag_terms[:k].sum())
+            values.append(AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal))
+        per_box.append(values)
+    results = [[values[i] for values in per_box] for i in range(len(ts))]
+    results = [per_t[0] for per_t in results] if isinstance(box, Box2) else results
+    return results[0] if np.ndim(t) == 0 else results
 
 
 def net_loss_window_shift(box: Box2, premium_rates: tuple[float, float], r: float, t: float) -> Box2:

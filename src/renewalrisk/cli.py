@@ -267,6 +267,9 @@ def _model(model_doc, seed: int | None) -> ModelConfig:
     f1 = parse_marginal(_get(model_doc, "f1", "config.model"), "config.model.f1")
     f2 = parse_marginal(_get(model_doc, "f2", "config.model"), "config.model.f2")
     g = parse_marginal(_get(model_doc, "g", "config.model"), "config.model.g")
+    if isinstance(g, Deterministic) and g.value == 0:
+        raise ConfigError("config.model.g.value: inter-arrival times of 0 put infinitely many "
+                          "arrivals at time 0; need value > 0")
     dep = parse_dependence(_get(model_doc, "dependence", "config.model"), f1, f2, g, "config.model.dependence")
     prem_doc = _get(model_doc, "premiums", "config.model", required=False, default=None)
     if prem_doc is None:

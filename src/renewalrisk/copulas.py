@@ -296,9 +296,24 @@ def _lam(gamma, t):
 
 
 def _log1mexp(x):
-    """log(1 - e^-x) for x > 0 without cancellation at either end (Maechler 2012)."""
+    """log(1 - e^-x) for x > 0 without cancellation at either end (Maechler 2012).
+
+    The branch that holds more of x runs over the whole array in place,
+    and the other only on its own indices, bit for bit the values of
+    ``np.where(x <= ln 2, log(-expm1(-x)), log1p(-exp(-x)))``.
+    """
+    small = x <= _LN2
+    out = np.negative(x)
     with np.errstate(divide="ignore"):  # log1p(-1) where the other branch is taken
-        return np.where(x <= _LN2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
+        if 2 * np.count_nonzero(small) >= x.size:
+            np.log(np.negative(np.expm1(out, out=out), out=out), out=out)
+            rest = np.flatnonzero(~small)
+            out[rest] = np.log1p(-np.exp(-x[rest]))
+        else:
+            np.log1p(np.negative(np.exp(out, out=out), out=out), out=out)
+            rest = np.flatnonzero(small)
+            out[rest] = np.log(-np.expm1(-x[rest]))
+    return out
 
 
 def _frank_frailty(rng, gamma: float, n: int) -> np.ndarray:

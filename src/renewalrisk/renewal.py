@@ -13,8 +13,8 @@ analogue of the renewal equation itself.
 The discrete Volterra equation is a power-series quotient, so it is
 solved by series inversion rather than by marching node after node:
 the reciprocal comes from Newton doubling and every convolution, here
-and in ``asymptotics``, from one real-FFT helper, ``_conv_head``.  A
-grid of K nodes costs O(K log K).
+and in ``asymptotics``, from one real-FFT helper, ``_conv_heads``, at
+5-smooth transform lengths.  A grid of K nodes costs O(K log K).
 """
 
 from __future__ import annotations
@@ -66,36 +66,73 @@ def _stieltjes_increments(g: Marginal, h: float, k_max: int) -> np.ndarray:
     return np.diff(cdf)
 
 
-def _conv_head(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the linear convolution a * b, by a real FFT.
+def _smooth_size(m: int) -> int:
+    """The least 5-smooth integer (2^i 3^j 5^k) >= m, a fast real-FFT length.
 
-    Leading zeros of a and b are split off, so a head that is exactly
-    zero (no renewal before the support of G starts) stays exactly zero
-    instead of carrying FFT rounding.  The transform length is the power
-    of two that holds the rest of the convolution, so nothing wraps.
+    A power of two is 5-smooth, so this never exceeds the next one; for
+    2K - 1 = 79 999 it is 80 000 = 2^7 5^4 instead of 131 072.
     """
-    out = np.zeros(n)
-    nz_a, nz_b = np.flatnonzero(a[:n]), np.flatnonzero(b[:n])
-    if nz_a.size and nz_b.size and nz_a[0] + nz_b[0] < n:
-        lo = nz_a[0] + nz_b[0]
-        a, b = a[nz_a[0] : nz_a[0] + n - lo], b[nz_b[0] : nz_b[0] + n - lo]
-        size = 1 << (len(a) + len(b) - 2).bit_length()
-        head = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[: n - lo]
-        out[lo : lo + len(head)] = head
-    return out
+    best = 1 << max(m - 1, 0).bit_length()
+    odd = 1
+    while odd < best:  # odd runs over 5^k, then 3^j 5^k, below best
+        p = odd
+        while p < best:
+            best = min(best, p << (-(-m // p) - 1).bit_length())
+            p *= 3
+        odd *= 5
+    return best
+
+
+def _first_nonzero(x: np.ndarray, n: int) -> int:
+    """Index of the first nonzero entry of x[:n], or n if there is none."""
+    if len(x) and n and x[0] != 0:  # the common case, without a pass over x
+        return 0
+    nonzero = x[:n] != 0
+    return int(nonzero.argmax()) if nonzero.any() else n
+
+
+def _conv_heads(a: np.ndarray, bs, n: int) -> list[np.ndarray]:
+    """First n terms of the linear convolution a * b for each b in ``bs``, by real FFTs.
+
+    Leading zeros of a and of each b are split off, so a head that is
+    exactly zero (no renewal before the support of G starts) stays
+    exactly zero instead of carrying FFT rounding.  a is transformed
+    once for all of ``bs``, at one 5-smooth length that holds the rest
+    of every convolution, so nothing wraps.
+    """
+    za = _first_nonzero(a, n)
+    zbs = [_first_nonzero(b, n - za) for b in bs]
+    outs = [np.zeros(n) for _ in bs]
+    live = [j for j, zb in enumerate(zbs) if za + zb < n]
+    if not live:
+        return outs
+    a = a[za : n - min(zbs[j] for j in live)]
+    segs = {j: bs[j][zbs[j] : n - za] for j in live}
+    size = _smooth_size(len(a) + max(len(seg) for seg in segs.values()) - 1)
+    fa = np.fft.rfft(a, size)
+    for j, seg in segs.items():
+        lo = za + zbs[j]
+        head = np.fft.irfft(fa * np.fft.rfft(seg, size), size)[: n - lo]
+        outs[j][lo : lo + len(head)] = head
+    return outs
 
 
 def _series_reciprocal(q: np.ndarray, n: int) -> np.ndarray:
     """First n coefficients of 1/q(z), q[0] != 0, by Newton doubling.
 
     With b = 1/q mod z^l, q b = 1 + z^l e, and b(2 - q b) = b - z^l b e
-    is 1/q mod z^2l; only the new half of b is computed each step.
+    is 1/q mod z^2l; only the new half of b is computed each step.  Both
+    products use one transform of b at a 5-smooth length L >= m = 2l:
+    the terms of q b past L wrap onto indices below l, which e does not
+    read, and b e has fewer than L terms.
     """
     b = np.array([1.0 / q[0]])
     while len(b) < n:
-        m = min(2 * len(b), n)
-        e = _conv_head(q, b, m)[len(b):]
-        b = np.concatenate([b, -_conv_head(b, e, m - len(b))])
+        l, m = len(b), min(2 * len(b), n)
+        size = _smooth_size(m)
+        fb = np.fft.rfft(b, size)
+        e = np.fft.irfft(np.fft.rfft(q[:m], size) * fb, size)[l:m]
+        b = np.concatenate([b, -np.fft.irfft(np.fft.rfft(e, size) * fb, size)[: m - l]])
     return b
 
 
@@ -132,40 +169,50 @@ def renewal_function(g: Marginal, t_max: float, h: float) -> RenewalGrid:
     c = dg.copy()
     c[:-1] += dg[1:]
     q = np.concatenate([[1.0 - 0.5 * dg[0]], -0.5 * c])
-    lam = _conv_head(cdf, _series_reciprocal(q, k_max + 1), k_max + 1)
+    lam = _conv_heads(cdf, [_series_reciprocal(q, k_max + 1)], k_max + 1)[0]
     return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_dist=g)
 
 
-def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure:
+def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure | list[TiltedMeasure]:
     """Increments of lambda~(t) = int (1 + lambda(t-u)) w(u) G(du).
 
     ``weight`` is a vectorized function of u on [0, t_max]; it must be
     positive there.  With w == 1 the cumulative measure reproduces the
     renewal function exactly on the grid, by construction of the solver.
+
+    ``weight`` may also be a sequence of such functions; the result is
+    then a list with one measure per weight, each equal to what a call
+    with that weight alone returns, from one evaluation of G's
+    increments and one transform of 1 + lambda.
     """
     h = grid.step
     lam = grid.lambda_values
     k_max = len(lam) - 1
     t = h * np.arange(k_max + 1)
-    w = np.asarray(weight(t), dtype=float)
-    if w.shape != t.shape:
-        w = np.broadcast_to(w, t.shape)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValueError("tilting weight must be positive and finite on the grid")
+    weights = [weight] if callable(weight) else list(weight)
+    ws = [np.broadcast_to(np.asarray(wf(t), dtype=float), t.shape) for wf in weights]
+    for w in ws:
+        if np.any(w <= 0) or not np.all(np.isfinite(w)):
+            raise ValueError("tilting weight must be positive and finite on the grid")
     dg = _stieltjes_increments(grid.g_dist, h, k_max)
     # lambda~_k = sum_j [ (1+lam_{k-j}) w_j + (1+lam_{k-j+1}) w_{j-1} ] / 2 * dG_j
-    a = 0.5 * w[1:] * dg          # pairs with lam_{k-j}, j = 1..k
-    b = 0.5 * w[:-1] * dg         # pairs with lam_{k-j+1}
-    # values[k] = sum_{i<k} a[i]*(1+lam[k-1-i]) + b[i]*(1+lam[k-i]); with
-    # e[j] = a[j-1] + b[j] that is (e * (1+lam))[k] - b[k], as lam[0] = 0
-    e = np.zeros(k_max + 1)
-    e[1:] += a
-    e[:-1] += b
-    values = _conv_head(e, 1.0 + lam, k_max + 1)
-    values[:-1] -= b
-    values[0] = 0.0
-    inc = np.diff(np.concatenate([[0.0], values]))
-    return TiltedMeasure(grid=grid, increments=inc)
+    # with a = w[1:] dG / 2 pairing lam_{k-j} and b = w[:-1] dG / 2 pairing
+    # lam_{k-j+1}: values[k] = sum_{i<k} a[i]*(1+lam[k-1-i]) + b[i]*(1+lam[k-i]);
+    # with e[j] = a[j-1] + b[j] that is (e * (1+lam))[k] - b[k], as lam[0] = 0
+    bs, es = [], []
+    for w in ws:
+        b = 0.5 * w[:-1] * dg
+        e = np.zeros(k_max + 1)
+        e[1:] += 0.5 * w[1:] * dg
+        e[:-1] += b
+        bs.append(b)
+        es.append(e)
+    measures = []
+    for values, b in zip(_conv_heads(1.0 + lam, es, k_max + 1), bs):
+        values[:-1] -= b
+        values[0] = 0.0
+        measures.append(TiltedMeasure(grid=grid, increments=np.diff(values, prepend=0.0)))
+    return measures[0] if callable(weight) else measures
 
 
 def tilted_triplet(grid: RenewalGrid, dep) -> tuple[TiltedMeasure, TiltedMeasure, TiltedMeasure]:
@@ -174,9 +221,5 @@ def tilted_triplet(grid: RenewalGrid, dep) -> tuple[TiltedMeasure, TiltedMeasure
     ``dep`` is anything with ``h_func(i, u)`` and ``g_func(u)``, e.g. a
     ``copulas.DependenceSpec``; constant weights are broadcast.
     """
-    return (
-        tilted_measure(grid, lambda u: dep.h_func(1, u)),
-        tilted_measure(grid, lambda u: dep.h_func(2, u)),
-        tilted_measure(grid, dep.g_func),
-    )
+    return tuple(tilted_measure(grid, [lambda u: dep.h_func(1, u), lambda u: dep.h_func(2, u), dep.g_func]))
 

@@ -227,7 +227,7 @@ def _time_grid(config: ModelConfig, t):
 
 
 def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
-                  claims: int = 0, carry: dict | None = None) -> np.ndarray:
+                  claims: int = 0, carry: dict | None = None, last_round: int | None = None) -> np.ndarray:
     """Run the n paths of one block to grid[-1]; the event's weight sums per grid time, shape (len(grid), k).
 
     Each round draws one triple per alive path and moves its clock from
@@ -250,7 +250,9 @@ def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
     then all rows are compacted together by one index of the paths whose
     clocks are still <= grid[-1].  Paths stay in order, so the draws
     depend on n and the block's claim stream alone.  ``event`` must not
-    modify or keep the arrays it is given.
+    modify or keep the arrays it is given.  Given ``last_round``, the
+    event scores no later round, so the block returns once that round
+    has been scored and draws no further triples.
     """
     rng = _block_rng(config, block, _CLAIM_STREAM)
     m, t_top = len(grid), grid[-1]
@@ -277,7 +279,7 @@ def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
                 diff[j] += np.bincount(first, weights=w, minlength=m + 1)
                 diff[j] -= np.bincount(stop, weights=w, minlength=m + 1)
         keep = np.flatnonzero(t_to <= t_top)
-        if keep.size == 0:
+        if keep.size == 0 or round_no == last_round:
             return np.cumsum(diff[:, :m], axis=1).T
         if config.r > 0:
             disc = np.exp(-config.r * t_to)
@@ -352,19 +354,20 @@ def uniformity_scan(config, t_grid, boxes, tilted_triplet=None, n_paths: int | N
     """The (t, box) table: one row per cell in ``SCAN_COLUMNS`` order, boxes outermost.
 
     Given ``n_paths``, one simulate_grid pass fills the empirical columns;
-    given the tilted triplet, one theorem_rhs pass per box fills the
-    asymptotic ones; ratio (empirical over asymptotic total) needs both.
+    given the tilted triplet, one theorem_rhs pass over all boxes fills
+    the asymptotic ones; ratio (empirical over asymptotic total) needs both.
     Columns whose input is missing stay None.  With boxes the squares
     (x, x+d]^2 along growing levels x, the max-over-t deviation of the
     ratio from 1 should shrink along x.
     """
     hits = None if n_paths is None else simulate_grid(config, t_grid, boxes, n_paths, threads=threads)
+    asyms = [[None] * len(boxes) for _ in t_grid]
+    if tilted_triplet is not None:
+        asyms = theorem_rhs(config.f1, config.f2, list(boxes), config.r, list(t_grid), *tilted_triplet)
     rows = []
     for j, box in enumerate(boxes):
-        asyms = [None] * len(t_grid)
-        if tilted_triplet is not None:
-            asyms = theorem_rhs(config.f1, config.f2, box, config.r, t_grid, *tilted_triplet)
-        for i, (t, asym) in enumerate(zip(t_grid, asyms)):
+        for i, t in enumerate(t_grid):
+            asym = asyms[i][j]
             est = ratio = None
             if hits is not None:
                 est = Estimate.from_hits(int(hits[i, j]), n_paths)
@@ -455,7 +458,7 @@ def lemma33_check(
         return hit, weights[:, hit]
 
     def worker(block: int, n_block: int):
-        return _stream_block(config, block, n_block, grid, 4 * len(boxes), event, claims=n)
+        return _stream_block(config, block, n_block, grid, 4 * len(boxes), event, claims=n, last_round=n)
 
     tallies = np.sum(_run_batches(worker, n_paths, threads), axis=0).reshape(len(grid), len(boxes), 4)
     results = [[_lemma33_result(row, n_paths) for row in tallies[i]] for i in index]

@@ -174,6 +174,29 @@ def test_theorem_rhs_t_sequence_matches_scalar_calls():
     assert vals[2] == vals[4]
 
 
+def test_theorem_rhs_box_sequence_matches_single_boxes():
+    # one pass shares the tilted measures' transforms across boxes; each box's
+    # values equal a call with that box alone, for a scalar t and a t list
+    f1, f2 = Pareto(1.0), Pareto(2.0)
+    grid = renewal_function(Exponential(1.0), 2.0, 1e-4)
+    tms = tilted_triplet(grid, FrankTri(f1, f2, Exponential(1.0), 1.0))
+    boxes = [Box2(20.0, 20.0, 5.0, 5.0), Box2(0.0, 3.0, 0.5, 2.0), Box2(40.0, 10.0, 1.0, 5.0),
+             Box2(20.0, 20.0, 5.0, 5.0)]
+    ts = [1.23452, 0.0, 0.73215, 2.0]
+    per_t = theorem_rhs(f1, f2, boxes, 0.05, ts, *tms)
+    assert isinstance(per_t, list) and len(per_t) == len(ts)
+    for t, vals in zip(ts, per_t):
+        assert isinstance(vals, list) and len(vals) == len(boxes)
+        for box, val in zip(boxes, vals):
+            _assert_values_close(val, theorem_rhs(f1, f2, box, 0.05, t, *tms), rel=1e-13)
+        assert vals[0] == vals[3]
+    assert per_t[1] == [AsymptoticValue(0.0, 0.0, 0.0)] * len(boxes)
+    at_one_t = theorem_rhs(f1, f2, boxes, 0.05, 2.0, *tms)
+    assert at_one_t == per_t[3]
+    with pytest.raises(ValueError):
+        theorem_rhs(f1, f2, boxes, 0.05, 2.5, *tms)
+
+
 def test_theorem_rhs_calls_no_blas(monkeypatch):
     # a threaded BLAS splits long 1-D dots across cores and stalls when one is
     # busy; the reductions are plain sums, so no BLAS entry point may be reached

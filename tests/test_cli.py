@@ -321,6 +321,10 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
         ("verify-conditions", {"model": {"g": DETERMINISTIC_G,
                                          "dependence": {"kind": "sarmanov-fgm", "g12": 0.0, "g13": -0.2, "g23": 0.0}}},
          "config.model.g", ()),
+        # zero inter-arrival times explode the renewal process: simulate never reached
+        # the horizon, and renewal failed only once it ran (exit 3)
+        ("simulate", {"model": {"g": {"family": "deterministic", "value": 0}}}, "config.model.g.value", ()),
+        ("renewal", {"model": {"g": {"family": "deterministic", "value": 0.0}}}, "config.model.g.value", ()),
         # an unhashable experiment or a non-string output path is a config error, not a crash
         ("simulate", {"experiment": ["simulate"]}, "config.experiment", ()),
         ("simulate", {"output_path": 1}, "config.output_path", ()),
@@ -353,6 +357,7 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
          "nested-gamma-floor-lemma33", "nested-gamma-floor-counterexample",
          "deterministic-g-copula-check", "deterministic-g-compare", "deterministic-g-renewal-nested",
          "deterministic-g-asymptotic-fgm", "deterministic-g-verify-fgm",
+         "deterministic-g-zero-simulate", "deterministic-g-zero-renewal",
          "experiment-not-string", "output-path-not-string",
          "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative",
          "unknown-top-level", "unknown-model", "unknown-grids", "unknown-box", "unknown-marginal",

@@ -10,6 +10,7 @@ from scipy import stats
 
 from renewalrisk.copulas import (
     _frank_frailty,
+    _log1mexp,
     DependenceSpec,
     FrankTri,
     Independent,
@@ -487,3 +488,19 @@ def test_sample_triple_marginals():
     assert np.mean(x1 > 1.0) == pytest.approx(P1.sf(1.0), abs=0.005)
     assert np.mean(x2 > 1.0) == pytest.approx(P2.sf(1.0), abs=0.005)
     assert np.mean(th) == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 1.0, 5.0, 20.0, 700.0])
+def test_log1mexp_matches_two_branch_where_bitwise(gamma):
+    # each branch runs only where it is taken, on either side of the majority
+    # switch, and must give the bits of the np.where form, at ln 2 and around it
+    rng = np.random.default_rng(int(gamma * 100))
+    ln2 = math.log(2.0)
+    edges = [ln2, np.nextafter(ln2, np.inf), np.nextafter(ln2, 0.0)]
+    for n in (1, 3, 17, 1 << 16):
+        x = np.concatenate([edges, gamma * (1.0 - rng.random(n)), edges])
+        with np.errstate(divide="ignore"):
+            want = np.where(x <= ln2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
+        got = _log1mexp(x)
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(_log1mexp(x[3:-3]).view(np.int64), want[3:-3].view(np.int64))

@@ -7,6 +7,8 @@ import pytest
 from renewalrisk.copulas import FrankTri
 from renewalrisk.marginals import Deterministic, Exponential, Pareto, Weibull
 from renewalrisk.renewal import (
+    _conv_heads,
+    _smooth_size,
     _stieltjes_increments,
     renewal_function,
     tilted_measure,
@@ -210,3 +212,63 @@ def test_quadrature_layer_speed():
     grid = renewal_function(Exponential(1.0), 2.0, 5e-5)
     tilted_triplet(grid, dep)
     assert time.perf_counter() - t0 < 1.0
+
+
+def _padded(rng, zeros: int, span: int, length: int) -> np.ndarray:
+    """``zeros`` zeros, ``span`` uniform(0.5, 1.5) entries, then zeros up to ``length``."""
+    x = np.zeros(max(length, zeros + span))
+    x[zeros : zeros + span] = rng.uniform(0.5, 1.5, span)
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 17, 4097, 40001])
+def test_conv_heads_match_direct_convolution(n):
+    # one transform of a serves operands with different leading zeros and
+    # lengths; the head before both supports start stays exactly 0.0
+    rng = np.random.default_rng(n)
+    span = n if n <= 4097 else 300  # keeps the direct reference O(n * span)
+    for za in sorted({0, 1, n // 3}):
+        a = _padded(rng, za, n, n)
+        bs = [_padded(rng, zb, min(span, length), length)
+              for zb, length in ((0, n), (1, n // 2 + 1), (5, n + 9), (n // 2, n), (n - 1, n), (n, n + 1))]
+        heads = _conv_heads(a, bs, n)
+        assert len(heads) == len(bs)
+        for b, head in zip(bs, heads):
+            zb = int(np.argmax(b != 0)) if b[:n].any() else n
+            ref = np.zeros(n)
+            if zb < n:
+                direct = np.convolve(a[: n - zb], np.trim_zeros(b[zb:n], "b"))[: n - zb]
+                ref[zb : zb + len(direct)] = direct
+            assert head.shape == (n,)
+            assert np.all(head[: min(za + zb, n)] == 0.0)
+            assert np.max(np.abs(head - ref)) <= 1e-12 * max(np.max(ref), 1.0)
+
+
+def test_smooth_size_is_least_5_smooth_bound():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    sizes = [k for k in range(1, 6001) if smooth(k)]
+    for m in range(1, 5001):
+        assert _smooth_size(m) == next(k for k in sizes if k >= m)
+    assert _smooth_size(79_999) == 80_000
+    assert all(_smooth_size(1 << e) == 1 << e for e in range(20))
+
+
+@pytest.mark.parametrize("g", [Exponential(1.0), Deterministic(0.3)], ids=["exp1", "det0.3"])
+def test_tilted_measure_weight_sequence_matches_single_calls(g):
+    grid = renewal_function(g, 2.0, 1e-3)
+    dep = FrankTri(Pareto(1.0), Pareto(2.0), Exponential(1.0), 3.0)
+    weights = [lambda u: dep.h_func(1, u), lambda u: np.ones_like(u), dep.g_func, lambda u: 1.0 + u]
+    many = tilted_measure(grid, weights)
+    assert isinstance(many, list) and len(many) == len(weights)
+    for tm, weight in zip(many, weights):
+        one = tilted_measure(grid, weight)
+        assert one.grid is tm.grid is grid
+        assert tm.increments == pytest.approx(one.increments, rel=1e-13, abs=0)
+        assert np.array_equal(tm.values == 0.0, one.values == 0.0)
+    with pytest.raises(ValueError):
+        tilted_measure(grid, [lambda u: np.ones_like(u), lambda u: -np.ones_like(u)])
