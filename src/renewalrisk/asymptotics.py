@@ -122,21 +122,30 @@ def theorem_rhs(
     inc2 = tilted_2.increments[1 : k_max + 1]
     incj = tilted_joint.increments[1 : k_max + 1]
     mids = h * (np.arange(1, k_max + 1) - 0.5)
-    tau = h * np.arange(1, n_max + 1)  # u + v for s = 2..s_cap
-    p1_mids = [scaled_local_prob(f1, b.window1, r, mids) for b in boxes]
-    p2_mids = [scaled_local_prob(f2, b.window2, r, mids) for b in boxes]
-    conv_as = _conv_heads(inc1, [p2_mid * inc2 for p2_mid in p2_mids], n_max)
-    conv_bs = _conv_heads(inc2, [p1_mid * inc1 for p1_mid in p1_mids], n_max)
-
-    # pairwise .sum(), not np.dot: see the module docstring on BLAS
-    per_box = []
-    for b, p1_mid, p2_mid, conv_a, conv_b in zip(boxes, p1_mids, p2_mids, conv_as, conv_bs):
+    # pairwise .sum(), not np.dot: see the module docstring on BLAS.  Per box,
+    # the diagonal sums first; each midpoint window probability then becomes,
+    # in place, the weighted increments the cross term convolves
+    diagonals, p1_incs, p2_incs = [], [], []
+    for b in boxes:
+        p1_mid = scaled_local_prob(f1, b.window1, r, mids)
+        p2_mid = scaled_local_prob(f2, b.window2, r, mids)
         diag_terms = p1_mid * p2_mid * incj
-        cross_terms = scaled_local_prob(f1, b.window1, r, tau) * conv_a
+        diagonals.append([float(diag_terms[:k].sum()) for k in k_ts])
+        p1_mid *= inc1
+        p2_mid *= inc2
+        p1_incs.append(p1_mid)
+        p2_incs.append(p2_mid)
+    conv_as = _conv_heads(inc1, p2_incs, n_max)
+    conv_bs = _conv_heads(inc2, p1_incs, n_max)
+
+    tau = h * np.arange(1, n_max + 1)  # u + v for s = 2..s_cap
+    per_box = []
+    for b, diagonal_sums, cross_terms, conv_b in zip(boxes, diagonals, conv_as, conv_bs):
+        cross_terms *= scaled_local_prob(f1, b.window1, r, tau)
         cross_terms += scaled_local_prob(f2, b.window2, r, tau) * conv_b
         values = []
-        for k, n in zip(k_ts, n_cross):
-            cross, diagonal = float(cross_terms[:n].sum()), float(diag_terms[:k].sum())
+        for diagonal, n in zip(diagonal_sums, n_cross):
+            cross = float(cross_terms[:n].sum())
             values.append(AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal))
         per_box.append(values)
     results = [[values[i] for values in per_box] for i in range(len(ts))]

@@ -94,27 +94,31 @@ def _first_nonzero(x: np.ndarray, n: int) -> int:
 def _conv_heads(a: np.ndarray, bs, n: int) -> list[np.ndarray]:
     """First n terms of the linear convolution a * b for each b in ``bs``, by real FFTs.
 
-    Leading zeros of a and of each b are split off, so a head that is
-    exactly zero (no renewal before the support of G starts) stays
-    exactly zero instead of carrying FFT rounding.  a is transformed
-    once for all of ``bs``, at one 5-smooth length that holds the rest
-    of every convolution, so nothing wraps.
+    Each b holds at least n entries and is consumed: the head of a * b
+    is written over b[:n], which is returned, so the heads take no
+    memory beyond their operands.  Leading zeros of a and of each b are
+    split off, so a head that is exactly zero (no renewal before the
+    support of G starts) stays exactly zero instead of carrying FFT
+    rounding.  a is transformed once for all of ``bs``, at one 5-smooth
+    length that holds the rest of every convolution, so nothing wraps.
     """
     za = _first_nonzero(a, n)
     zbs = [_first_nonzero(b, n - za) for b in bs]
-    outs = [np.zeros(n) for _ in bs]
-    live = [j for j, zb in enumerate(zbs) if za + zb < n]
-    if not live:
-        return outs
-    a = a[za : n - min(zbs[j] for j in live)]
-    segs = {j: bs[j][zbs[j] : n - za] for j in live}
-    size = _smooth_size(len(a) + max(len(seg) for seg in segs.values()) - 1)
-    fa = np.fft.rfft(a, size)
-    for j, seg in segs.items():
-        lo = za + zbs[j]
-        head = np.fft.irfft(fa * np.fft.rfft(seg, size), size)[: n - lo]
-        outs[j][lo : lo + len(head)] = head
-    return outs
+    zb_min = min(zbs, default=n)
+    if za + zb_min < n:
+        a = a[za : n - zb_min]
+        size = _smooth_size(len(a) + n - za - zb_min - 1)
+        fa = np.fft.rfft(a, size)
+    heads = []
+    for b, zb in zip(bs, zbs):
+        lo = min(za + zb, n)
+        if lo < n:
+            fb = np.fft.rfft(b[zb : n - za], size)
+            fb *= fa
+            b[lo:n] = np.fft.irfft(fb, size)[: n - lo]
+        b[:lo] = 0.0
+        heads.append(b[:n])
+    return heads
 
 
 def _series_reciprocal(q: np.ndarray, n: int) -> np.ndarray:
@@ -189,18 +193,16 @@ def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure | list[TiltedMeas
     lam = grid.lambda_values
     k_max = len(lam) - 1
     t = h * np.arange(k_max + 1)
-    weights = [weight] if callable(weight) else list(weight)
-    ws = [np.broadcast_to(np.asarray(wf(t), dtype=float), t.shape) for wf in weights]
-    for w in ws:
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ValueError("tilting weight must be positive and finite on the grid")
     dg = _stieltjes_increments(grid.g_dist, h, k_max)
     # lambda~_k = sum_j [ (1+lam_{k-j}) w_j + (1+lam_{k-j+1}) w_{j-1} ] / 2 * dG_j
     # with a = w[1:] dG / 2 pairing lam_{k-j} and b = w[:-1] dG / 2 pairing
     # lam_{k-j+1}: values[k] = sum_{i<k} a[i]*(1+lam[k-1-i]) + b[i]*(1+lam[k-i]);
     # with e[j] = a[j-1] + b[j] that is (e * (1+lam))[k] - b[k], as lam[0] = 0
     bs, es = [], []
-    for w in ws:
+    for wf in [weight] if callable(weight) else weight:
+        w = np.broadcast_to(np.asarray(wf(t), dtype=float), t.shape)
+        if np.any(w <= 0) or not np.all(np.isfinite(w)):
+            raise ValueError("tilting weight must be positive and finite on the grid")
         b = 0.5 * w[:-1] * dg
         e = np.zeros(k_max + 1)
         e[1:] += 0.5 * w[1:] * dg
@@ -211,7 +213,8 @@ def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure | list[TiltedMeas
     for values, b in zip(_conv_heads(1.0 + lam, es, k_max + 1), bs):
         values[:-1] -= b
         values[0] = 0.0
-        measures.append(TiltedMeasure(grid=grid, increments=np.diff(values, prepend=0.0)))
+        values[1:] -= values[:-1].copy()  # increments, in place
+        measures.append(TiltedMeasure(grid=grid, increments=values))
     return measures[0] if callable(weight) else measures
 
 

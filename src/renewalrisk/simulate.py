@@ -363,7 +363,7 @@ def uniformity_scan(config, t_grid, boxes, tilted_triplet=None, n_paths: int | N
     hits = None if n_paths is None else simulate_grid(config, t_grid, boxes, n_paths, threads=threads)
     asyms = [[None] * len(boxes) for _ in t_grid]
     if tilted_triplet is not None:
-        asyms = theorem_rhs(config.f1, config.f2, list(boxes), config.r, list(t_grid), *tilted_triplet)
+        asyms = theorem_rhs(config.f1, config.f2, boxes, config.r, t_grid, *tilted_triplet)
     rows = []
     for j, box in enumerate(boxes):
         for i, t in enumerate(t_grid):

@@ -26,6 +26,7 @@ def run_cli(tmp_path, doc, *args):
         [sys.executable, "-m", "renewalrisk.cli", "--config", str(cfg), *args],
         capture_output=True,
         text=True,
+        timeout=600,  # a run that never ends (say, zero inter-arrival times) fails instead of hanging
     )
 
 

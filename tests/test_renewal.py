@@ -230,10 +230,12 @@ def test_conv_heads_match_direct_convolution(n):
     for za in sorted({0, 1, n // 3}):
         a = _padded(rng, za, n, n)
         bs = [_padded(rng, zb, min(span, length), length)
-              for zb, length in ((0, n), (1, n // 2 + 1), (5, n + 9), (n // 2, n), (n - 1, n), (n, n + 1))]
+              for zb, length in ((0, n), (1, n + 3), (5, n + 9), (n // 2, n), (n - 1, n), (n, n + 1))]
+        operands = [b.copy() for b in bs]
         heads = _conv_heads(a, bs, n)
         assert len(heads) == len(bs)
-        for b, head in zip(bs, heads):
+        assert all(np.shares_memory(head, b) for head, b in zip(heads, bs))  # written over b
+        for b, head in zip(operands, heads):
             zb = int(np.argmax(b != 0)) if b[:n].any() else n
             ref = np.zeros(n)
             if zb < n:
