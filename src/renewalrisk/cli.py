@@ -48,6 +48,7 @@ import numpy as np
 
 from .asymptotics import Box2
 from .copulas import (
+    CONDITION_CLAIMS,
     DependenceSpec,
     FrankTri,
     Independent,
@@ -433,8 +434,8 @@ def run(cfg: dict, threads: int = 1) -> None:
         for w in report.warnings:
             print(f"warning: {w}", file=sys.stderr)
         rows = []
-        for condition in (1, 2, 3):
-            for i in (1, 2) if condition != 2 else (1,):
+        for condition, claims in CONDITION_CLAIMS.items():
+            for i in claims:
                 devs = condition_ratio_scan(model.dependence, i, np.asarray(grids["s_grid"]),
                                             grids["x_grid"], grids["d"], condition=condition)
                 for x, dev in zip(grids["x_grid"], devs):

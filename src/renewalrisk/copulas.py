@@ -24,8 +24,12 @@ arguments to that scale once (a window (x, x+d] of claim i to
 value z to v = F_j(z)) and call the variant's uniform-scale forms
 ``_h``, ``_g``, ``_g_ij``, ``_given_w``, ``_joint_given_w`` and ``_given_vw``.
 
-The conditional-ratio scans cross-check the hard-coded weights against
-the exact conditionals.
+Conditions 1-3 are evaluated in one place, ``_condition_terms``: for
+each Condition and claim (``CONDITION_CLAIMS``) it gives the exact
+conditional window probability, the unconditional one and the limit
+weight.  The horizon bounds and the conditional-ratio scans both read
+it, so the scans cross-check the hard-coded weights against the exact
+conditionals with the same terms the bounds report.
 """
 
 from __future__ import annotations
@@ -554,6 +558,29 @@ class NestedFrankProduct(_Frank):
 # Horizon bounds, scans, checks
 
 
+#: the claims i each Condition is stated for; Condition 2 is about the pair
+CONDITION_CLAIMS = {1: (1, 2), 2: (1,), 3: (1, 2)}
+
+
+def _condition_terms(spec: DependenceSpec, condition: int, i: int, win: LocalWindow, s_grid, z_grid):
+    """(exact conditional window probability, unconditional one, limit weight) of a Condition.
+
+    The conditioning is on theta = s (Condition 1: claim i, weight h_i;
+    Condition 2: both claims in ``win``, weight g), or on the other claim
+    at z and theta = s over the (z, s) grid (Condition 3, weight g_ij).
+    """
+    fi = spec._marginal(i)
+    if condition == 1:
+        return spec.cond_local_prob_given_theta(i, win, s_grid), local_prob(fi, win), spec.h_func(i, s_grid)
+    if condition == 2:
+        return (spec.cond_joint_local_prob_given_theta(win, win, s_grid),
+                local_prob(spec.f1, win) * local_prob(spec.f2, win), spec.g_func(s_grid))
+    if condition == 3:
+        zz, ss = np.meshgrid(z_grid, s_grid, indexing="ij")
+        return spec.cond_local_prob_given_other(i, win, zz, ss), local_prob(fi, win), spec.g_ij_func(i, zz, ss)
+    raise ValueError("condition must be 1, 2 or 3")
+
+
 def bounds_over_horizon(spec: DependenceSpec, horizon: float) -> BoundsReport:
     """Grid estimates of the Conditions-1/2/3 horizon constants.
 
@@ -567,42 +594,17 @@ def bounds_over_horizon(spec: DependenceSpec, horizon: float) -> BoundsReport:
     """
     s_grid = np.linspace(0.0, horizon, 101)
     z_grid = np.concatenate([np.linspace(0.0, 50.0, 51), [1e2, 1e3, 1e6, 1e12]])
-
-    h_vals = np.concatenate([np.asarray(spec.h_func(i, s_grid)).ravel() for i in (1, 2)])
-    g_vals = np.asarray(spec.g_func(s_grid)).ravel()
-    zz, ss = np.meshgrid(z_grid, s_grid, indexing="ij")
-    gij_vals = np.concatenate(
-        [np.asarray(spec.g_ij_func(i, zz, ss)).ravel() for i in (1, 2)]
-    )
+    weights, c = [], []
+    for k, claims in CONDITION_CLAIMS.items():
+        terms = [_condition_terms(spec, k, i, LocalWindow(x, 1.0), s_grid, z_grid)
+                 for i in claims for x in (1e3, 1e4)]
+        c.append(max([0.0] + [float(np.max(exact / base)) - 1.0 for exact, base, _ in terms]))
+        # a weight does not depend on the window: one per claim
+        weights.append(np.concatenate([np.asarray(weight).ravel() for _, _, weight in terms[::2]]))
     warnings = tuple(f"{name} is nonpositive on the grid: Condition {k} fails for this horizon"
-                     for name, k, vals in (("h_i", 1, h_vals), ("g", 2, g_vals), ("g_ij", 3, gij_vals))
-                     if vals.min() <= 0)
-
-    c1 = c2 = c3 = 0.0
-    for x in (1e3, 1e4):
-        win = LocalWindow(x, 1.0)
-        for i in (1, 2):
-            base = local_prob(spec._marginal(i), win)
-            cond = np.asarray(spec.cond_local_prob_given_theta(i, win, s_grid))
-            c1 = max(c1, float(np.max(cond / base)) - 1.0)
-            condz = np.asarray(spec.cond_local_prob_given_other(i, win, zz, ss))
-            c3 = max(c3, float(np.max(condz / base)) - 1.0)
-        base2 = local_prob(spec.f1, win) * local_prob(spec.f2, win)
-        cond2 = np.asarray(spec.cond_joint_local_prob_given_theta(win, win, s_grid))
-        c2 = max(c2, float(np.max(cond2 / base2)) - 1.0)
-
-    return BoundsReport(
-        b_lower=float(h_vals.min()),
-        b_upper=float(h_vals.max()),
-        d_lower=float(g_vals.min()),
-        d_upper=float(g_vals.max()),
-        a_lower=float(gij_vals.min()),
-        a_upper=float(gij_vals.max()),
-        c1=max(c1, 0.0),
-        c2=max(c2, 0.0),
-        c3=max(c3, 0.0),
-        warnings=warnings,
-    )
+                     for k, name, vals in zip(CONDITION_CLAIMS, ("h_i", "g", "g_ij"), weights) if vals.min() <= 0)
+    # in field order: min and max of h_i (b), g (d) and g_ij (a), then C1-C3
+    return BoundsReport(*(float(f(vals)) for vals in weights for f in (np.min, np.max)), *c, warnings=warnings)
 
 
 def condition_ratio_scan(
@@ -622,25 +624,12 @@ def condition_ratio_scan(
     along an increasing x grid.
     """
     s_grid = np.asarray(s_grid, dtype=float)
+    z_grid = np.concatenate([np.linspace(0.0, 20.0, 21), [1e2, 1e4]])
     out = np.empty(len(x_grid))
-    fi = spec._marginal(i)
     for k, x in enumerate(x_grid):
-        win = LocalWindow(x, d)
-        if condition == 1:
-            exact = np.asarray(spec.cond_local_prob_given_theta(i, win, s_grid))
-            asym = local_prob(fi, win) * np.asarray(spec.h_func(i, s_grid))
-        elif condition == 2:
-            exact = np.asarray(spec.cond_joint_local_prob_given_theta(win, win, s_grid))
-            asym = local_prob(spec.f1, win) * local_prob(spec.f2, win) * np.asarray(spec.g_func(s_grid))
-        elif condition == 3:
-            z_grid = np.concatenate([np.linspace(0.0, 20.0, 21), [1e2, 1e4]])
-            zz, ss = np.meshgrid(z_grid, s_grid, indexing="ij")
-            exact = np.asarray(spec.cond_local_prob_given_other(i, win, zz, ss))
-            asym = local_prob(fi, win) * np.asarray(spec.g_ij_func(i, zz, ss))
-        else:
-            raise ValueError("condition must be 1, 2 or 3")
+        exact, base, weight = _condition_terms(spec, condition, i, LocalWindow(x, d), s_grid, z_grid)
         with np.errstate(divide="ignore"):  # a vanishing weight (g at nested gamma = 1) reads inf
-            out[k] = float(np.max(np.abs(exact / asym - 1.0)))
+            out[k] = float(np.max(np.abs(exact / (base * weight) - 1.0)))
     return out
 
 

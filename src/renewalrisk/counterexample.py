@@ -192,12 +192,6 @@ class CounterexampleF(Marginal):
             raise ValueError("n out of table range")
         return float(density_raw(self.table, self.table.mid[n]) / density_raw(self.table, self.table.b[n]))
 
-    def long_tail_ratio(self, x: float, t: float) -> float:
-        """f(x - t) / f(x); tends to 1 for fixed t as x grows."""
-        if t < 0 or x - t < 0:
-            raise ValueError("need 0 <= t <= x")
-        return float(self.pdf(x - t) / self.pdf(x))
-
     def block_index(self, x: float) -> int:
         """The n with x in (a_n, a_{n+1}]."""
         a = self.table.a

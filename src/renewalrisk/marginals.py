@@ -60,8 +60,22 @@ class Marginal:
         return p
 
 
+class _CumulativeHazard(Marginal):
+    """F(x) = 1 - exp(-H(x)); a family gives H on [0, inf) as ``_hazard`` and its inverse as ``_inv_hazard``."""
+
+    def cdf(self, x):
+        return -np.expm1(-self._hazard(np.maximum(np.asarray(x, dtype=float), 0.0)))[()]
+
+    def sf(self, x):
+        """exp(-H(x)), taken directly, so it keeps relative accuracy where F(x) rounds to 1."""
+        return np.exp(-self._hazard(np.maximum(np.asarray(x, dtype=float), 0.0)))[()]
+
+    def quantile(self, p):
+        return self._inv_hazard(-np.log1p(-self._check_p(p)))[()]
+
+
 @dataclass(frozen=True)
-class Pareto(Marginal):
+class Pareto(_CumulativeHazard):
     """Shifted Pareto with F(x) = 1 - (1+x)^(-alpha) on [0, inf)."""
 
     alpha: float
@@ -70,22 +84,15 @@ class Pareto(Marginal):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = -np.expm1(-self.alpha * np.log1p(np.maximum(x, 0.0)))
-        return np.where(x < 0, 0.0, out)[()]
+    def _hazard(self, x):
+        return self.alpha * np.log1p(x)
 
-    def quantile(self, p):
-        p = self._check_p(p)
-        return np.expm1(-np.log1p(-p) / self.alpha)[()]
-
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-self.alpha * np.log1p(np.maximum(x, 0.0)))[()]
+    def _inv_hazard(self, y):
+        return np.expm1(y / self.alpha)
 
 
 @dataclass(frozen=True)
-class Weibull(Marginal):
+class Weibull(_CumulativeHazard):
     """Weibull with F(x) = 1 - exp(-(x/scale)^shape); heavy-tailed for shape < 1."""
 
     shape: float
@@ -95,40 +102,26 @@ class Weibull(Marginal):
         if not (self.shape > 0 and self.scale > 0):
             raise ValueError("Weibull shape and scale must be > 0")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = -np.expm1(-np.power(np.maximum(x, 0.0) / self.scale, self.shape))
-        return np.where(x < 0, 0.0, out)[()]
+    def _hazard(self, x):
+        return np.power(x / self.scale, self.shape)
 
-    def quantile(self, p):
-        p = self._check_p(p)
-        return (self.scale * np.power(-np.log1p(-p), 1.0 / self.shape))[()]
-
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-np.power(np.maximum(x, 0.0) / self.scale, self.shape))[()]
+    def _inv_hazard(self, y):
+        return self.scale * np.power(y, 1.0 / self.shape)
 
 
 @dataclass(frozen=True)
-class Exponential(Marginal):
+class Exponential(_CumulativeHazard):
     rate: float
 
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = -np.expm1(-self.rate * np.maximum(x, 0.0))
-        return np.where(x < 0, 0.0, out)[()]
+    def _hazard(self, x):
+        return self.rate * x
 
-    def quantile(self, p):
-        p = self._check_p(p)
-        return (-np.log1p(-p) / self.rate)[()]
-
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-self.rate * np.maximum(x, 0.0))[()]
+    def _inv_hazard(self, y):
+        return y / self.rate
 
 
 @dataclass(frozen=True)

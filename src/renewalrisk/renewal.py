@@ -36,12 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RenewalGrid:
-    """lambda(k*h) for k = 0..round(T/h) plus the generating distribution."""
+    """lambda(k*h) for k = 0..round(T/h) plus G's increments G((k-1)h, kh], k = 1..round(T/h)."""
 
     step: float
     t_max: float
     lambda_values: np.ndarray
-    g_dist: Marginal
+    g_increments: np.ndarray
 
     @property
     def times(self) -> np.ndarray:
@@ -159,22 +159,21 @@ def renewal_function(g: Marginal, t_max: float, h: float) -> RenewalGrid:
     if not 0 < h <= t_max / 10:
         raise ValueError("step must satisfy 0 < h <= t_max/10")
     k_max = round(t_max / h)
+    dg = _stieltjes_increments(g, h, k_max)
     if isinstance(g, Deterministic):
         # N(t) = floor(t / c) exactly; snap near-node times onto the jump
         if g.value == 0:
             raise ValueError("zero inter-arrival time gives an exploding renewal process")
-        t = h * np.arange(k_max + 1)
-        lam = np.floor(t / g.value + 1e-12)
-        return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_dist=g)
+        lam = np.floor(h * np.arange(k_max + 1) / g.value + 1e-12)
+        return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_increments=dg)
 
-    dg = _stieltjes_increments(g, h, k_max)
     cdf = np.concatenate([[0.0], np.cumsum(dg)])
     # c[j] = dG_j + dG_{j+1} pairs lambda_{k-j} with both trapezoid halves
     c = dg.copy()
     c[:-1] += dg[1:]
     q = np.concatenate([[1.0 - 0.5 * dg[0]], -0.5 * c])
     lam = _conv_heads(cdf, [_series_reciprocal(q, k_max + 1)], k_max + 1)[0]
-    return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_dist=g)
+    return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_increments=dg)
 
 
 def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure | list[TiltedMeasure]:
@@ -186,14 +185,10 @@ def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure | list[TiltedMeas
 
     ``weight`` may also be a sequence of such functions; the result is
     then a list with one measure per weight, each equal to what a call
-    with that weight alone returns, from one evaluation of G's
-    increments and one transform of 1 + lambda.
+    with that weight alone returns, from one transform of 1 + lambda.
     """
-    h = grid.step
-    lam = grid.lambda_values
+    lam, dg, t = grid.lambda_values, grid.g_increments, grid.times
     k_max = len(lam) - 1
-    t = h * np.arange(k_max + 1)
-    dg = _stieltjes_increments(grid.g_dist, h, k_max)
     # lambda~_k = sum_j [ (1+lam_{k-j}) w_j + (1+lam_{k-j+1}) w_{j-1} ] / 2 * dG_j
     # with a = w[1:] dG / 2 pairing lam_{k-j} and b = w[:-1] dG / 2 pairing
     # lam_{k-j+1}: values[k] = sum_{i<k} a[i]*(1+lam[k-1-i]) + b[i]*(1+lam[k-i]);

@@ -37,7 +37,7 @@ import numpy as np
 
 from .asymptotics import Box2, theorem_rhs
 from .copulas import DependenceSpec
-from .marginals import Marginal
+from .marginals import Deterministic, Marginal
 
 __all__ = [
     "Linear",
@@ -116,6 +116,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.t_max <= 0:
             raise ValueError("horizon t_max must be > 0")
+        if isinstance(self.g_dist, Deterministic) and self.g_dist.value == 0:
+            raise ValueError("inter-arrival times of 0 put infinitely many arrivals at time 0")
         if self.r < 0:
             raise ValueError("force of interest r must be >= 0")
         if len(self.premiums) != 2:

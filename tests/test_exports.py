@@ -1,5 +1,10 @@
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +23,31 @@ def test_star_import_and_all_names_exist(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_benchmark_traced_names_exist():
+    # perfbench/tracer.py wraps these names from outside and reads quantile's
+    # work count from its argument `p`; a renamed one shows only as trace.absent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = textwrap.dedent(f"""
+        import inspect, json, sys
+        sys.path.insert(0, {str(perfbench)!r})
+        import numpy as np
+        import renewalrisk.cli
+        import tracer
+        from renewalrisk.marginals import Marginal, Pareto
+        rec = tracer.Recorder()
+        absent = tracer.install(rec)
+        wrapped = [c for c in tracer._subclasses(Marginal) if hasattr(vars(c).get("quantile"), "__wrapped__")]
+        params = {{c.__name__: list(inspect.signature(vars(c)["quantile"].__wrapped__).parameters) for c in wrapped}}
+        Pareto(1.0).quantile(np.full(3, 0.5))
+        count = tracer.summarize(rec.dump())["marginals.quantile"]["count"]
+        print(json.dumps({{"absent": absent, "params": params, "count": count}}))
+    """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["absent"] == []
+    assert {"Deterministic", "CounterexampleF"} < set(out["params"])
+    assert all(params[1:2] == ["p"] for params in out["params"].values()), out["params"]
+    assert out["count"] == 3

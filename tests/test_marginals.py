@@ -34,6 +34,37 @@ def test_cdf_sf_complement(dist, x):
     assert dist.cdf(x) + dist.sf(x) == pytest.approx(1.0, abs=1e-12)
 
 
+#: each family's cdf, sf and quantile as written out per family before they
+#: shared one cumulative-hazard form; the shared form must equal them bit for bit
+CLOSED_FORMS = {
+    Pareto: (lambda d, x: -np.expm1(-d.alpha * np.log1p(np.maximum(x, 0.0))),
+             lambda d, x: np.exp(-d.alpha * np.log1p(np.maximum(x, 0.0))),
+             lambda d, p: np.expm1(-np.log1p(-p) / d.alpha)),
+    Weibull: (lambda d, x: -np.expm1(-np.power(np.maximum(x, 0.0) / d.scale, d.shape)),
+              lambda d, x: np.exp(-np.power(np.maximum(x, 0.0) / d.scale, d.shape)),
+              lambda d, p: d.scale * np.power(-np.log1p(-p), 1.0 / d.shape)),
+    Exponential: (lambda d, x: -np.expm1(-d.rate * np.maximum(x, 0.0)),
+                  lambda d, x: np.exp(-d.rate * np.maximum(x, 0.0)),
+                  lambda d, p: -np.log1p(-p) / d.rate),
+}
+
+
+@pytest.mark.parametrize("dist", DISTS, ids=str)
+def test_hazard_forms_match_closed_forms_bit_for_bit(dist):
+    # NaN inputs are left out: only the sign bit of the NaN returned can differ
+    rng = np.random.default_rng(0)
+    x = np.concatenate([[-1.0, 0.0, 1e-300, 1e300, np.inf], rng.exponential(10.0, 200), rng.pareto(0.5, 200)])
+    p = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], rng.random(200)])
+    cdf, sf, quantile = CLOSED_FORMS[type(dist)]
+    pairs = [(dist.cdf, lambda v: np.where(v < 0, 0.0, cdf(dist, v)), x),
+             (dist.sf, lambda v: sf(dist, v), x), (dist.quantile, lambda v: quantile(dist, v), p)]
+    for method, reference, args in pairs:
+        assert np.asarray(method(args)).tobytes() == np.asarray(reference(args)).tobytes(), method
+        for v in args[:5]:  # scalars come back as numpy scalars of the same bits
+            got = method(v)
+            assert np.ndim(got) == 0 and np.asarray(got).tobytes() == np.asarray(reference(np.float64(v))).tobytes()
+
+
 @pytest.mark.parametrize("dist", DISTS, ids=str)
 def test_cdf_monotone_and_range(dist):
     xs = np.linspace(0, 100, 500)

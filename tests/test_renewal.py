@@ -73,12 +73,12 @@ def exp_moment_N(g, beta, t_max, n_paths, rng):
     return est, se, unreliable
 
 
-def _direct_tilted_values(grid, weight):
+def _direct_tilted_values(grid, g, weight):
     """Reference tilted measure: one direct convolution per trapezoid half."""
     lam = grid.lambda_values
     k_max = len(lam) - 1
     w = np.broadcast_to(np.asarray(weight(grid.times), dtype=float), lam.shape)
-    dg = _stieltjes_increments(grid.g_dist, grid.step, k_max)
+    dg = _stieltjes_increments(g, grid.step, k_max)
     one_lam = 1.0 + lam
     a = 0.5 * w[1:] * dg
     b = 0.5 * w[:-1] * dg
@@ -199,7 +199,7 @@ def test_tilted_measure_matches_direct_convolution(g):
     tms = tilted_triplet(grid, dep)
     weights = (lambda u: dep.h_func(1, u), lambda u: dep.h_func(2, u), dep.g_func)
     for tm, weight in zip(tms, weights):
-        ref = _direct_tilted_values(grid, weight)
+        ref = _direct_tilted_values(grid, g, weight)
         assert np.max(np.abs(tm.values - ref)) <= 1e-12 * np.max(ref)
         assert tm.values[0] == 0.0
 

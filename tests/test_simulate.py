@@ -171,6 +171,12 @@ def test_config_validation():
         make_config(batch=0)
 
 
+def test_config_rejects_zero_point_mass_g():
+    # simulate_grid would otherwise run MAX_ARRIVALS rounds without moving a clock
+    with pytest.raises(ValueError, match="infinitely many arrivals"):
+        ModelConfig(dependence=Independent(P1, P1, Deterministic(0.0)), t_max=1.0)
+
+
 def test_t_grid_validation():
     cfg = make_config()
     with pytest.raises(ValueError):
