@@ -26,7 +26,7 @@ cannot be written exits 3.
 `copula-check` reports `min_c_volume`, the least C-volume of random boxes.
 Each volume is an alternating 8-corner sum of the copula CDF, so a small
 box loses its volume to rounding: a valid copula can read slightly below
-0, e.g. -2.0e-14 for frank-tri at gamma = 20 (seed 11, 1e5 boxes).  A
+0, e.g. -2.8e-17 for frank-tri at gamma = 20 (seed 11, 1e5 boxes).  A
 value above -1e-12 is such rounding, not an invalid copula.
 All numeric CSV fields use shortest round-trip decimal representation.
 Monte Carlo runs in blocks of 2^16 paths, each drawing from its own

@@ -10,8 +10,10 @@ variant carries
   theta), obtained from closed-form copula partial derivatives, and the
   window probabilities under them, each factored in the window widths so
   they stay accurate deep in the tail,
-* an exact closed-form sampler (the two Frank variants share their
-  generator algebra),
+* an exact closed-form sampler in two stages: ``sample_uniform`` draws W
+  and the per-arrival state the claims need, and ``sample_uv`` draws
+  (U, V) given that state, for only the arrivals a caller keeps (the
+  two Frank variants share their generator algebra),
 * the closed-form dependence weights h_i(s), g(s), g_ij(z, s) describing
   the large-claim limits of those conditionals, and grid estimates of
   their horizon bounds.
@@ -107,7 +109,16 @@ class DependenceSpec:
         raise NotImplementedError
 
     def sample_uniform(self, rng, n: int):
-        """n draws of (U, V, W) from the copula."""
+        """The per-arrival stage: n draws of W, and the state their (U, V) are drawn from.
+
+        Returns ``(w, state)``; ``state`` is an array whose last axis runs
+        over the n arrivals, so a caller keeps the arrivals it wants
+        claims for by indexing that axis.
+        """
+        raise NotImplementedError
+
+    def sample_uv(self, rng, state):
+        """(U, V) given W for the arrivals of ``state``, all of sample_uniform's or any subset."""
         raise NotImplementedError
 
     # --- model scale: every argument mapped to the unit cube once --------
@@ -160,17 +171,20 @@ class DependenceSpec:
                     total += iu * iv * iw * self.copula_cdf(u, v, w)
         return total
 
-    def sample_triple(self, rng, n: int):
-        """n exact draws of (X1, X2, theta).
+    # A sampler can round a uniform up to 1 (chance ~1e-16 per draw), where
+    # the quantiles are undefined; the two stages below clip such values to
+    # the largest double below 1 in place, and touch no value below 1.
 
-        A sampler can round a uniform up to 1 (chance ~1e-16 per draw),
-        where the quantiles are undefined; such values are clipped to
-        the largest double below 1, and no value below 1 is touched.
-        """
-        u, v, w = self.sample_uniform(rng, n)
-        for p in (u, v, w):
-            np.minimum(p, _BELOW_ONE, out=p)
-        return self.f1.quantile(u), self.f2.quantile(v), self.g_dist.quantile(w)
+    def sample_theta(self, rng, n: int):
+        """n exact draws of theta, and the state their claims are drawn from."""
+        w, state = self.sample_uniform(rng, n)
+        return self.g_dist.quantile(np.minimum(w, _BELOW_ONE, out=w)), state
+
+    def sample_claims(self, rng, state):
+        """Exact draws of (X1, X2) given theta, for the arrivals of ``state``."""
+        u, v = self.sample_uv(rng, state)
+        return (self.f1.quantile(np.minimum(u, _BELOW_ONE, out=u)),
+                self.f2.quantile(np.minimum(v, _BELOW_ONE, out=v)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +265,21 @@ class SarmanovFGM(DependenceSpec):
         return num / (1 + g_vw * dv * dw)
 
     def sample_uniform(self, rng, n):
-        # conditional inversion: W is uniform, and V given W and U given
-        # (V, W) both have the CDF x + a x (1 - x) with |a| < 1 on valid
-        # parameters, inverted as the root of a x^2 - (1 + a) x + p = 0
-        pu, pv, w = rng.random(n), rng.random(n), rng.random(n)
+        # W is uniform, and the claims need nothing else
+        w = rng.random(n)
+        return w, w
+
+    def sample_uv(self, rng, w):
+        # conditional inversion: V given W and U given (V, W) both have the
+        # CDF x + a x (1 - x) with |a| < 1 on valid parameters, inverted as
+        # the root of a x^2 - (1 + a) x + p = 0
+        pv, pu = rng.random(w.size), rng.random(w.size)
         dw = 1 - 2 * w
         a = self.g23 * dw
         v = _quadratic_root(a, -(1 + a), pv)
         dv = 1 - 2 * v
         a = (self.g12 * dv + self.g13 * dw) / (1 + self.g23 * dv * dw)
-        return _quadratic_root(a, -(1 + a), pu), v, w
+        return _quadratic_root(a, -(1 + a), pu), v
 
     def _h(self, i, w):
         return 1 - self._oriented(i)[1] * (1 - 2 * w)
@@ -285,10 +304,11 @@ class Independent(SarmanovFGM):
     g13: float = field(default=0.0, init=False)
     g23: float = field(default=0.0, init=False)
 
-    def sample_uniform(self, rng, n):
-        # the FGM inversions are the identity here, bit for bit; skipping
-        # their arithmetic takes 1.4 instead of 4.8 ms per 2^16 draws
-        return rng.random(n), rng.random(n), rng.random(n)
+    def sample_uv(self, rng, w):
+        # the FGM inversions are the identity here, bit for bit, so their
+        # arithmetic is skipped
+        v = rng.random(w.size)
+        return rng.random(w.size), v
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +340,34 @@ def _log1mexp(x):
     return out
 
 
-def _frank_frailty(rng, gamma: float, n: int) -> np.ndarray:
-    """n logarithmic-series variates, P(K = k) = p^k / (k gamma) with p = 1 - e^-gamma.
+def _frank_frailty(rng, gamma: float, w: np.ndarray) -> np.ndarray:
+    """The Frank frailty K of each arrival given its W, as floats.
 
-    Kemp's (1981) LK method: with V, U uniform on (0, 1],
-    K = floor(1 + log V / log(1 - e^{-gamma U})), a geometric variate
-    mixed over U.  It needs no p, so it holds where p rounds to 1, and
-    both ends of (0, 1] give a finite K >= 1 while e^-gamma is a normal
-    double.  Returned as floats.
+    In the Marshall-Olkin form of Frank's copula, K is logarithmic-series,
+    P(K = k) = p^k / (k gamma) with p = 1 - e^-gamma, and given K each
+    coordinate is psi(E / K) for a standard exponential E, where
+    psi(s) = -log(1 - p e^-s) / gamma is the inverse generator.  Since
+    psi(E / k) <= w exactly when E >= k psi^-1(w) and
+    e^{-psi^-1(w)} = (1 - e^{-gamma w}) / p,
+
+        P(K = k, W <= w) = p^k / (k gamma) * ((1 - e^{-gamma w}) / p)^k
+                         = (1 - e^{-gamma w})^k / (k gamma).
+
+    Summed over k this is w, so W is uniform; its derivative in w is
+    q^(k-1) (1 - q) with q = 1 - e^{-gamma w}, so given W = w, K is
+    geometric with P(K > k) = q^k.  That is Kemp's (1981) LK method with
+    its mixing uniform played by W: with V uniform on (0, 1],
+    K = floor(1 + log V / log(1 - e^{-gamma W})).  It needs no p, so it
+    holds where p rounds to 1, and every W in [0, 1) and V in (0, 1]
+    give a finite K >= 1 while e^-gamma is a normal double (W = 0 and
+    V = 1 both give K = 1).
     """
-    v, x = 1.0 - rng.random((2, n))
-    x *= gamma
-    return np.floor(1.0 + np.log(v) / _log1mexp(x))
+    v = rng.random(w.size)
+    np.subtract(1.0, v, out=v)
+    np.log(v, out=v)
+    v /= _log1mexp(gamma * w)
+    v += 1.0
+    return np.floor(v, out=v)
 
 
 @dataclass(frozen=True)
@@ -373,9 +409,17 @@ class FrankTri(_Frank):
     """Exchangeable tri-dimensional Frank copula, gamma > 0."""
 
     def copula_cdf(self, u, v, w):
-        a = self._alpha
-        lu, lv, lw = _lam(self.gamma, u), _lam(self.gamma, v), _lam(self.gamma, w)
-        return (-np.log1p(lu * lv * lw / a**2) / self.gamma)[()]
+        a, g = self._alpha, self.gamma
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        lu, lv, lw = _lam(g, u), _lam(g, v), _lam(g, w)
+        t = lu * lv * lw / a**2
+        # 1 + t cancels as t nears -1 (large gamma, u, v and w near 1); there it
+        # is taken as (a^2 + lu lv lw) / a^2, whose numerator is a sum of three
+        # terms >= 0: a (lam(1) - lam(u)) + lu (lam(1) - lam(v)) + lu lv e^(-gamma w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ew = np.exp(-g * np.asarray(w, dtype=float))
+            q = (a * self._dlam(u, 1 - u) + lu * self._dlam(v, 1 - v) + lu * lv * ew) / a**2
+            return (-np.where(t < -0.5, np.log(q), np.log1p(t)) / g)[()]
 
     def cond_cdf_given_w(self, u, v, w):
         a = self._alpha
@@ -412,19 +456,40 @@ class FrankTri(_Frank):
         return num / ((a**2 + lu2 * c) ** 2 * (a**2 + lu1 * c) ** 2)
 
     def sample_uniform(self, rng, n):
-        # Marshall-Olkin: a logarithmic-series frailty K, then the generator
-        # inverse -log(e^-gamma + alpha expm1(-E / K)) / gamma in place on one
-        # (3, n) buffer; both terms of the sum are >= 0, so nothing cancels
-        frail = _frank_frailty(rng, self.gamma, n)
-        vals = rng.standard_exponential((3, n))
+        # W is uniform and the frailty depends on W alone (_frank_frailty),
+        # so W is its own state
+        w = rng.random(n)
+        return w, w
+
+    def sample_uv(self, rng, w):
+        # Marshall-Olkin: the frailty K given W, then the inverse generator
+        # of E / K for two exponentials, in place on one (2, n) buffer
+        frail = _frank_frailty(rng, self.gamma, w)
+        vals = rng.standard_exponential((2, w.size))
         vals /= frail
-        np.negative(vals, out=vals)
-        np.expm1(vals, out=vals)
-        vals *= self._alpha
-        vals += math.exp(-self.gamma)
-        np.log(vals, out=vals)
-        vals /= -self.gamma
-        return vals[0], vals[1], vals[2]
+        self._inv_generator(vals)
+        return vals[0], vals[1]
+
+    def _inv_generator(self, s):
+        """psi(s) = -log(1 + alpha e^-s) / gamma, written over s >= 0.
+
+        For gamma <= ln 2, 1 + alpha e^-s >= 1/2 and log1p keeps the
+        relative accuracy of the small alpha e^-s.  Above, it is taken as
+        e^-gamma + alpha expm1(-s), two terms >= 0, so nothing cancels
+        where alpha e^-s nears -1.
+        """
+        np.negative(s, out=s)
+        if self.gamma <= _LN2:
+            np.exp(s, out=s)
+            s *= self._alpha
+            np.log1p(s, out=s)
+        else:
+            np.expm1(s, out=s)
+            s *= self._alpha
+            s += math.exp(-self.gamma)
+            np.log(s, out=s)
+        s /= -self.gamma
+        return s
 
     def sample_uniform_conditional(self, rng, n):
         """Conditional-distribution sampler; slower oracle for the frailty path.
@@ -432,7 +497,7 @@ class FrankTri(_Frank):
         Valid only for gamma <= 10, and its test uses gamma = 1.5.  The
         quadratic for w loses its discriminant to cancellation beyond that
         (NaN for 2.2% of draws at gamma = 20 and 25% at 30, seed 0, 2e5
-        draws), so it is no oracle for large gamma; ``sample_uniform`` is.
+        draws), so it is no oracle for large gamma; the frailty sampler is.
         """
         a = self._alpha
         u = rng.random(n)
@@ -525,17 +590,21 @@ class NestedFrankProduct(_Frank):
         return (a + lv * lw) ** 2 * num / ((1 + lv) * d1**2 * d2**2)
 
     def sample_uniform(self, rng, n):
-        # P(W <= w | U, V) = p is a quadratic in lw = lam(w); with k = u*v,
+        # (U, V) first, as the state; P(W <= w | U, V) = p is a quadratic in
+        # lw = lam(w); with k = u*v,
         # P(W <= w | U, V) = (1 + lk) lw (d - gamma k (a - lw)) / d^2, d = a + lk lw
         a = self._alpha
-        u, v = rng.random(n), rng.random(n)
-        k = u * v
+        uv = rng.random((2, n))
+        k = uv[0] * uv[1]
         p = rng.random(n)
         lk, gk = _lam(self.gamma, k), self.gamma * k
         qa = (1 + lk) * (lk + gk) - p * lk**2
         qb = a * ((1 + lk) * (1 - gk) - 2 * p * lk)
         qc = -p * a**2
-        return u, v, -np.log1p(_quadratic_root(qa, qb, qc)) / self.gamma
+        return -np.log1p(_quadratic_root(qa, qb, qc)) / self.gamma, uv
+
+    def sample_uv(self, rng, uv):
+        return uv[0], uv[1]
 
     def _g(self, w):
         # corner density of the claim pair given theta: with k = uv and
@@ -590,21 +659,34 @@ def bounds_over_horizon(spec: DependenceSpec, horizon: float) -> BoundsReport:
     condition (h_i Condition 1, g Condition 2, g_ij Condition 3), with one
     warning each.  C1-C3 are estimated as the largest conditional/
     unconditional local-probability ratio minus 1 over the grids, probing
-    the windows (x, x+1] for x = 1e3 and 1e4.
+    the windows (x, x+1] for x = 1e3 and 1e4.  A probe whose ratio is not
+    finite (its window probabilities underflow, so it reads 0/0) is left
+    out of its C and named in a warning.
     """
     s_grid = np.linspace(0.0, horizon, 101)
     z_grid = np.concatenate([np.linspace(0.0, 50.0, 51), [1e2, 1e3, 1e6, 1e12]])
-    weights, c = [], []
+    weights, c, dropped = [], [], []
     for k, claims in CONDITION_CLAIMS.items():
-        terms = [_condition_terms(spec, k, i, LocalWindow(x, 1.0), s_grid, z_grid)
-                 for i in claims for x in (1e3, 1e4)]
-        c.append(max([0.0] + [float(np.max(exact / base)) - 1.0 for exact, base, _ in terms]))
+        probes = [(i, x, _condition_terms(spec, k, i, LocalWindow(x, 1.0), s_grid, z_grid))
+                  for i in claims for x in (1e3, 1e4)]
+        ratios = []
+        for i, x, (exact, base, _) in probes:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = float(np.max(exact / base)) - 1.0
+            if math.isfinite(ratio):
+                ratios.append(ratio)
+            else:
+                of = "the claim pair" if k == 2 else f"claim {i}"
+                dropped.append(f"the C{k} probe of {of} at (x, x+1], x = {x:g}, is not finite "
+                               f"(its window probabilities underflow), so c{k} leaves it out")
+        c.append(max([0.0, *ratios]))
         # a weight does not depend on the window: one per claim
-        weights.append(np.concatenate([np.asarray(weight).ravel() for _, _, weight in terms[::2]]))
+        weights.append(np.concatenate([np.asarray(weight).ravel() for _, _, (_, _, weight) in probes[::2]]))
     warnings = tuple(f"{name} is nonpositive on the grid: Condition {k} fails for this horizon"
                      for k, name, vals in zip(CONDITION_CLAIMS, ("h_i", "g", "g_ij"), weights) if vals.min() <= 0)
     # in field order: min and max of h_i (b), g (d) and g_ij (a), then C1-C3
-    return BoundsReport(*(float(f(vals)) for vals in weights for f in (np.min, np.max)), *c, warnings=warnings)
+    return BoundsReport(*(float(f(vals)) for vals in weights for f in (np.min, np.max)), *c,
+                        warnings=warnings + tuple(dropped))
 
 
 def condition_ratio_scan(

@@ -55,13 +55,16 @@ class Marginal:
 
     def _check_p(self, p):
         p = np.asarray(p, dtype=float)
-        if not np.all((p >= 0.0) & (p < 1.0)):  # written so that NaN fails too
+        if p.size and not (p.min() >= 0.0 and p.max() < 1.0):  # NaN fails too: min and max keep it
             raise ValueError("quantile argument must lie in [0, 1)")
         return p
 
 
 class _CumulativeHazard(Marginal):
-    """F(x) = 1 - exp(-H(x)); a family gives H on [0, inf) as ``_hazard`` and its inverse as ``_inv_hazard``."""
+    """F(x) = 1 - exp(-H(x)); a family gives H on [0, inf) as ``_hazard`` and its inverse as ``_inv_hazard``.
+
+    ``_inv_hazard`` writes over its argument, a buffer of ``quantile``'s own.
+    """
 
     def cdf(self, x):
         return -np.expm1(-self._hazard(np.maximum(np.asarray(x, dtype=float), 0.0)))[()]
@@ -71,7 +74,10 @@ class _CumulativeHazard(Marginal):
         return np.exp(-self._hazard(np.maximum(np.asarray(x, dtype=float), 0.0)))[()]
 
     def quantile(self, p):
-        return self._inv_hazard(-np.log1p(-self._check_p(p)))[()]
+        p = self._check_p(p)
+        y = np.negative(p, out=np.empty(p.shape))
+        np.log1p(y, out=y)
+        return self._inv_hazard(np.negative(y, out=y))[()]
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,8 @@ class Pareto(_CumulativeHazard):
         return self.alpha * np.log1p(x)
 
     def _inv_hazard(self, y):
-        return np.expm1(y / self.alpha)
+        y /= self.alpha
+        return np.expm1(y, out=y)
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,9 @@ class Weibull(_CumulativeHazard):
         return np.power(x / self.scale, self.shape)
 
     def _inv_hazard(self, y):
-        return self.scale * np.power(y, 1.0 / self.shape)
+        np.power(y, 1.0 / self.shape, out=y)
+        y *= self.scale
+        return y
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,8 @@ class Exponential(_CumulativeHazard):
         return self.rate * x
 
     def _inv_hazard(self, y):
-        return y / self.rate
+        y /= self.rate
+        return y
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Exact Monte Carlo of the bidimensional renewal risk model.
 
-Paths draw (X1, X2, theta) triples from the dependence structure until
-the renewal clock passes the horizon, accumulating the discounted claim
-pair; estimators are plain hit counters with binomial confidence
-intervals (Clopper-Pearson at low counts).
+Paths draw each arrival's theta first and its claim pair (X1, X2) given
+theta only if the arrival lands inside the horizon, until the renewal
+clock passes it, accumulating the discounted claim pair; estimators are
+plain hit counters with binomial confidence intervals (Clopper-Pearson
+at low counts).
 
 Every estimator runs on one streaming kernel, `_stream_block`.  It keeps
 the state of the paths still alive as the rows of one matrix, compacted
@@ -18,13 +19,15 @@ per-path array.  The cells of one run share common random numbers (their
 estimates are correlated, never biased).
 
 Reproducibility: the unit of work is a block of BLOCK paths run to the
-horizon.  Block k of a run draws from its own counter-based Philox
-stream, keyed by (seed, k, stream id), so its draws depend on the seed,
-k and its own path count alone (only the last block of a run may hold
-fewer than BLOCK paths).  Block results land in preallocated slots and
-merge by summation, so the result is bit-identical however many worker
-threads run the blocks.  ``ModelConfig.batch_size`` is accepted and
-validated but affects neither the draws nor the scheduling.
+horizon.  Block k of a run draws from its own PCG64DXSM stream, seeded
+by ``SeedSequence(seed, spawn_key=(k, stream id))``; each round it draws
+theta for every alive path, then the claims of the arrivals inside the
+horizon.  So its draws depend on the seed, k and its own path count
+alone (only the last block of a run may hold fewer than BLOCK paths).
+Block results land in preallocated slots and merge by summation, so the
+result is bit-identical however many worker threads run the blocks.
+``ModelConfig.batch_size`` is accepted and validated but affects neither
+the draws nor the scheduling.
 """
 
 from __future__ import annotations
@@ -203,8 +206,8 @@ def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
 
 
 def _block_rng(config: ModelConfig, block: int, stream: int):
-    key = (int(config.seed) << 64) | (block << 8) | stream
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(int(config.seed), spawn_key=(block, stream))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 def _run_batches(worker, n_paths: int, threads: int) -> list:
@@ -232,7 +235,7 @@ def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
                   claims: int = 0, carry: dict | None = None, last_round: int | None = None) -> np.ndarray:
     """Run the n paths of one block to grid[-1]; the event's weight sums per grid time, shape (len(grid), k).
 
-    Each round draws one triple per alive path and moves its clock from
+    Each round draws one theta per alive path and moves its clock from
     its last arrival ``t_from`` to its next one ``t_to``; an arrival at
     time s counts at every t >= s, so a path holds one state at every t
     in [t_from, t_to).  Before the claims of ``t_to`` are added,
@@ -247,16 +250,18 @@ def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
     its [t_from, t_to) through a difference array over the grid that one
     cumsum turns into sums (floats, exact for integer weights).
 
-    The per-path state is one float matrix, a row per quantity.  The
-    round's discounted claims are added to every alive path in place, and
-    then all rows are compacted together by one index of the paths whose
-    clocks are still <= grid[-1].  Paths stay in order, so the draws
-    depend on n and the block's claim stream alone.  ``event`` must not
-    modify or keep the arrays it is given.  Given ``last_round``, the
-    event scores no later round, so the block returns once that round
-    has been scored and draws no further triples.
+    The per-path state is one float matrix, a row per quantity.  After
+    the event, all rows and the sampler's per-arrival state are compacted
+    together by one index of the paths whose ``t_to`` is <= grid[-1], and
+    only those arrivals draw their claims (X1, X2), which are discounted
+    and added in place.  Paths stay in order, so the draws depend on n
+    and the block's claim stream alone.  ``event`` must not modify or
+    keep the arrays it is given.  Given ``last_round``, the event scores
+    no later round, so the block returns once that round has been scored
+    and draws no further theta or claims.
     """
     rng = _block_rng(config, block, _CLAIM_STREAM)
+    dep = config.dependence
     m, t_top = len(grid), grid[-1]
     diff = np.zeros((k, m + 1))
     carry = carry or {}
@@ -266,11 +271,11 @@ def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
         rows[i] = value
     for round_no in range(MAX_ARRIVALS + 1):
         live = rows[:, :n]
-        clock, d1, d2 = live[0], live[1], live[2]
-        state = {"d1": d1, "d2": d2, **{key: live[i] for i, key in enumerate(carry, 3)}}
+        clock = live[0]
+        state = {"d1": live[1], "d2": live[2], **{key: live[i] for i, key in enumerate(carry, 3)}}
         if claims:
             state["v1"], state["v2"] = live[v0:v0 + claims], live[v0 + claims:]
-        x1, x2, t_to = config.dependence.sample_triple(rng, n)
+        t_to, arrivals = dep.sample_theta(rng, n)
         t_to += clock
         scored = event(state, round_no)
         if scored is not None:
@@ -283,22 +288,26 @@ def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
         keep = np.flatnonzero(t_to <= t_top)
         if keep.size == 0 or round_no == last_round:
             return np.cumsum(diff[:, :m], axis=1).T
+        if keep.size < n:
+            n = keep.size
+            t_to, arrivals = t_to[keep], arrivals[..., keep]
+            for row in live[1:]:
+                row[:n] = row[keep]
+            live = rows[:, :n]
+        del keep
+        x1, x2 = dep.sample_claims(rng, arrivals)
+        del arrivals
         if config.r > 0:
             disc = np.exp(-config.r * t_to)
             x1 *= disc
             x2 *= disc
             del disc
-        d1 += x1
-        d2 += x2
+        live[0] = t_to
+        live[1] += x1
+        live[2] += x2
         if round_no < claims:
-            state["v1"][round_no] = x1
-            state["v2"][round_no] = x2
-        if keep.size < n:
-            n = keep.size
-            t_to = t_to[keep]
-            for row in live[1:]:
-                row[:n] = row[keep]
-        live[0, :n] = t_to
+            live[v0 + round_no] = x1
+            live[v0 + claims + round_no] = x2
         del x1, x2, t_to  # not held through the next round's draw
     raise RuntimeError(f"a path exceeded {MAX_ARRIVALS} arrivals; check G")
 

@@ -175,6 +175,21 @@ def test_copula_check_runs(tmp_path):
     assert len(rows) >= 2
 
 
+def test_copula_check_warns_of_underflowed_probes(tmp_path):
+    # the windows at x = 1e4 have probability 0 under Weibull(0.8, 2): each
+    # Condition names its dropped probe, and c1 comes from x = 1e3 alone
+    out = tmp_path / "out.csv"
+    model = dict(BASE_MODEL, f1={"family": "weibull", "shape": 0.8, "scale": 2.0},
+                 f2={"family": "pareto", "alpha": 2.5}, g={"family": "exponential", "rate": 2.0},
+                 dependence={"kind": "sarmanov-fgm", "g12": -0.5, "g13": 0.2, "g23": 0.1})
+    res = run_cli(tmp_path, make_doc("copula-check", model=model, output_path=str(out), n_boxes=2000))
+    assert res.returncode == 0, res.stderr
+    lines = res.stderr.splitlines()
+    assert [line[:len("warning: the C1")] for line in lines] == [f"warning: the C{k}" for k in (1, 2, 3)], lines
+    assert all("x = 10000" in line for line in lines)
+    assert float(dict(read_csv(out)[1:])["c1"]) == pytest.approx(0.19267, abs=1e-5)
+
+
 def test_counterexample_runs(tmp_path):
     out = tmp_path / "out.csv"
     doc = make_doc("counterexample", output_path=str(out), counterexample_n_max=6)

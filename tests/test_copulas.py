@@ -48,6 +48,13 @@ IDS = [
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
+def sample_uvw(spec, rng, n):
+    """(U, V, W) of n arrivals through both sampler stages, in the kernel's draw order."""
+    w, state = spec.sample_uniform(rng, n)
+    u, v = spec.sample_uv(rng, state)
+    return u, v, w
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
 @given(u=unit, v=unit, w=unit)
 @settings(max_examples=40, deadline=None)
@@ -92,11 +99,15 @@ def test_cond_cdf_given_vw_normalized(spec):
         assert np.all(np.diff(vals) >= -1e-12)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+SAMPLER_SPECS = SPECS + [FrankTri(P1, P2, E1, gamma) for gamma in (0.3, 5.0, 20.0, 60.0)]
+SAMPLER_IDS = IDS + ["frank03", "frank5", "frank20", "frank60"]
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=SAMPLER_IDS)
 def test_sampler_matches_copula_cdf(spec):
     rng = np.random.default_rng(42)
-    u, v, w = spec.sample_uniform(rng, 200_000)
-    for pt in [(0.3, 0.5, 0.7), (0.8, 0.8, 0.2), (0.5, 0.5, 0.5)]:
+    u, v, w = sample_uvw(spec, rng, 200_000)
+    for pt in [(0.3, 0.5, 0.7), (0.8, 0.8, 0.2), (0.5, 0.5, 0.5), (0.95, 0.99, 0.9)]:
         emp = np.mean((u <= pt[0]) & (v <= pt[1]) & (w <= pt[2]))
         exact = float(spec.copula_cdf(*pt))
         se = math.sqrt(exact * (1 - exact) / u.size)
@@ -106,7 +117,7 @@ def test_sampler_matches_copula_cdf(spec):
 def test_frank_frailty_vs_conditional_sampler():
     spec = FrankTri(P1, P1, E1, 1.5)
     r1, r2 = np.random.default_rng(1), np.random.default_rng(2)
-    a = spec.sample_uniform(r1, 150_000)
+    a = sample_uvw(spec, r1, 150_000)
     b = spec.sample_uniform_conditional(r2, 150_000)
     for pt in [(0.3, 0.5, 0.7), (0.7, 0.2, 0.9)]:
         ea = np.mean((a[0] <= pt[0]) & (a[1] <= pt[1]) & (a[2] <= pt[2]))
@@ -140,7 +151,8 @@ def test_frank_frailty_pmf(gamma):
     probs = _frailty_pmf(gamma)
     if gamma >= 30:
         assert probs[-1] > 0.9  # most of the mass lies beyond k = 10
-    draws = _frank_frailty(np.random.default_rng(5), gamma, 1_000_000)
+    rng = np.random.default_rng(5)
+    draws = _frank_frailty(rng, gamma, rng.random(1_000_000))
     assert np.all(draws >= 1) and np.all(np.isfinite(draws)) and np.all(draws == np.floor(draws))
     assert _chisquare_pvalue(draws, probs) > 1e-3
     p = -math.expm1(-gamma)
@@ -151,20 +163,37 @@ def test_frank_frailty_pmf(gamma):
 
 @pytest.mark.parametrize("gamma", [0.05, 1.0, 40.0, 700.0])
 def test_frank_frailty_is_finite_at_the_ends(gamma):
-    # V and U take every pairing of 1 (a raw draw of 0) and 2^-53 (the largest raw draw)
+    # W takes both ends of [0, 1), and V both 1 (a raw draw of 0) and 2^-53
+    # (the largest raw draw), in every pairing
     top = 1.0 - 2.0**-53
-    raw = np.array([[0.0, 0.0, top, top], [0.0, top, 0.0, top]])
-    k = _frank_frailty(SimpleNamespace(random=lambda shape: raw.copy()), gamma, 4)
+    w, raw_v = np.array([0.0, top, 0.0, top]), np.array([0.0, 0.0, top, top])
+    k = _frank_frailty(SimpleNamespace(random=lambda n: raw_v.copy()), gamma, w)
     assert np.all(np.isfinite(k)) and np.all(k >= 1)
-    assert k[0] == k[1] == 1.0  # V = 1 gives K = 1 at any U
+    assert k[0] == k[1] == 1.0  # V = 1 gives K = 1 at any W
 
 
 @pytest.mark.parametrize("gamma", [1.0, 35.0, 40.0, 60.0])
 def test_frank_sampler_margins_uniform_at_large_gamma(gamma):
     n = 1_000_000
-    for x in FrankTri(P1, P1, E1, gamma).sample_uniform(np.random.default_rng(9), n):
+    for x in sample_uvw(FrankTri(P1, P1, E1, gamma), np.random.default_rng(9), n):
         assert 0.0 <= x.min() and x.max() <= 1.0
         assert stats.kstest(x, "uniform").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("gamma", [0.01, 1e-4, 1e-6])
+def test_frank_inverse_generator_is_accurate_at_small_gamma(gamma):
+    # psi(E / K) = -log(1 + alpha e^(-E/K)) / gamma on fixed (E, K), against 50
+    # digits; the form -log(e^-gamma + alpha expm1(-E/K)) / gamma is off by
+    # about eps / gamma here (7e-11 at gamma = 1e-6)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(0)
+    s = rng.standard_exponential(200) / rng.integers(1, 30, 200)
+    got = FrankTri(P1, P1, E1, gamma)._inv_generator(s.copy())
+    g = mp.mpf(gamma)
+    a = mp.expm1(-g)
+    worst = max(abs(mp.mpf(float(x)) + mp.log1p(a * mp.exp(-mp.mpf(float(si)))) / g) for x, si in zip(got, s))
+    assert worst <= 1e-15
 
 
 def test_frank_quadrature_side_holds_at_gamma_20():
@@ -279,10 +308,10 @@ def test_claim_exchange(spec):
 
 
 def test_independent_sampler_is_the_zero_coefficient_fgm_sampler():
-    # Independent.sample_uniform is a shortcut: the same bits, sign bits included
+    # Independent.sample_uv is a shortcut: the same bits, sign bits included
     n = 1 << 16
-    fast = Independent(P1, P2, E1).sample_uniform(np.random.default_rng(3), n)
-    slow = SarmanovFGM(P1, P2, E1, 0.0, 0.0, 0.0).sample_uniform(np.random.default_rng(3), n)
+    fast = sample_uvw(Independent(P1, P2, E1), np.random.default_rng(3), n)
+    slow = sample_uvw(SarmanovFGM(P1, P2, E1, 0.0, 0.0, 0.0), np.random.default_rng(3), n)
     for a, b in zip(fast, slow):
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -353,7 +382,7 @@ def _nested_bisection_sample(spec, rng, n):
 @pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0, 2.0, 5.0])
 def test_nested_sampler_matches_bisection(gamma):
     spec = NestedFrankProduct(P1, P1, E1, gamma)
-    u, v, w = spec.sample_uniform(np.random.default_rng(11), 100_000)
+    u, v, w = sample_uvw(spec, np.random.default_rng(11), 100_000)
     ru, rv, rw = _nested_bisection_sample(spec, np.random.default_rng(11), 100_000)
     np.testing.assert_array_equal(u, ru)
     np.testing.assert_array_equal(v, rv)
@@ -365,9 +394,9 @@ def test_nested_sampler_at_k_zero_is_bivariate_frank(gamma):
     # at u = 0 the claim product k vanishes and W given (U, V) follows the
     # bivariate Frank conditional, inverted by w = -log1p(p a) / gamma
     p = np.linspace(0.001, 0.999, 999)
-    draws = [np.zeros(p.size), np.linspace(0.0, 1.0, p.size), p]
-    fake_rng = SimpleNamespace(random=lambda n: draws.pop(0))
-    u, v, w = NestedFrankProduct(P1, P1, E1, gamma).sample_uniform(fake_rng, p.size)
+    draws = [np.array([np.zeros(p.size), np.linspace(0.0, 1.0, p.size)]), p]  # (U, V), then p
+    fake_rng = SimpleNamespace(random=lambda shape: draws.pop(0))
+    u, v, w = sample_uvw(NestedFrankProduct(P1, P1, E1, gamma), fake_rng, p.size)
     expected = -np.log1p(p * math.expm1(-gamma)) / gamma
     np.testing.assert_allclose(w, expected, rtol=1e-14, atol=0)
 
@@ -378,8 +407,10 @@ def test_sample_triple_clips_uniforms_at_one(spec, monkeypatch):
     # then get the largest double below 1, and values below 1 pass unchanged
     below = np.array([0.5, np.nextafter(1.0, 0.0)])
     draws = lambda: np.array([1.0, 1.0 + 2**-52, *below])
-    monkeypatch.setattr(type(spec), "sample_uniform", lambda self, rng, n: (draws(), draws(), draws()))
-    for x, dist in zip(spec.sample_triple(None, 4), (spec.f1, spec.f2, spec.g_dist)):
+    monkeypatch.setattr(type(spec), "sample_uniform", lambda self, rng, n: (draws(), None))
+    monkeypatch.setattr(type(spec), "sample_uv", lambda self, rng, state: (draws(), draws()))
+    theta, state = spec.sample_theta(None, 4)
+    for x, dist in zip((*spec.sample_claims(None, state), theta), (spec.f1, spec.f2, spec.g_dist)):
         assert np.all(np.isfinite(x))
         np.testing.assert_array_equal(x, dist.quantile(np.array([below[1], below[1], *below])))
 
@@ -390,7 +421,7 @@ def test_independent_weights_are_unit():
     assert np.allclose(spec.h_func(1, s), 1.0)
     assert np.allclose(spec.g_func(s), 1.0)
     assert np.allclose(spec.g_ij_func(1, 3.0, s), 1.0)
-    u, v, w = spec.sample_uniform(np.random.default_rng(0), 10_000)
+    u, v, w = sample_uvw(spec, np.random.default_rng(0), 10_000)
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.05
 
 
@@ -413,9 +444,9 @@ def test_fgm_sampler_inverts_its_conditionals(coeffs):
     grid = np.linspace(0.0, 1.0, 1001)[:-1]
     perm = np.random.default_rng(0).permutation
     draws = [perm(grid), perm(grid), perm(grid)]
-    pu, pv, pw = (d.copy() for d in draws)
+    pw, pv, pu = (d.copy() for d in draws)  # W first, then V and U
     fake_rng = SimpleNamespace(random=lambda n: draws.pop(0))
-    u, v, w = SarmanovFGM(P1, P1, E1, *coeffs).sample_uniform(fake_rng, grid.size)
+    u, v, w = sample_uvw(SarmanovFGM(P1, P1, E1, *coeffs), fake_rng, grid.size)
     np.testing.assert_array_equal(w, pw)
     dv, dw = 1 - 2 * v, 1 - 2 * w
     a_v = g23 * dw
@@ -428,7 +459,7 @@ def test_fgm_sampler_inverts_its_conditionals(coeffs):
 
 def test_fgm_sampler_moments():
     spec = SarmanovFGM(P1, P1, E1, 0.8, 0.0, 0.0)
-    u, v, w = spec.sample_uniform(np.random.default_rng(7), 200_000)
+    u, v, w = sample_uvw(spec, np.random.default_rng(7), 200_000)
     # FGM pair correlation is gamma/3; third coordinate independent here
     assert np.corrcoef(u, v)[0, 1] == pytest.approx(0.8 / 3, abs=0.01)
     assert abs(np.corrcoef(u, w)[0, 1]) < 0.01
@@ -453,6 +484,23 @@ def test_bounds_over_horizon_frank():
     s = np.linspace(0, 2.0, 50)
     h = np.asarray(spec.h_func(1, s))
     assert rep.b_lower <= h.min() + 1e-12 and h.max() <= rep.b_upper + 1e-12
+
+
+def test_bounds_over_horizon_names_underflowed_probes():
+    # Weibull(0.8, 2) gives (1e4, 1e4 + 1] the probability exp(-911), which
+    # underflows to 0: those probes read 0/0, and C1-C3 come from the others
+    spec = SarmanovFGM(Weibull(0.8, 2.0), Pareto(2.5), Exponential(2.0), -0.5, 0.2, 0.1)
+    rep = bounds_over_horizon(spec, 2.0)
+    assert rep.warnings == tuple(
+        f"the C{k} probe of {of} at (x, x+1], x = 10000, is not finite "
+        f"(its window probabilities underflow), so c{k} leaves it out"
+        for k, of in ((1, "claim 1"), (2, "the claim pair"), (3, "claim 1"))
+    )
+    s_grid = np.linspace(0.0, 2.0, 101)
+    exact = spec.cond_local_prob_given_theta(1, LocalWindow(1e3, 1.0), s_grid)
+    assert rep.c1 == float(np.max(exact / local_prob(spec.f1, LocalWindow(1e3, 1.0)))) - 1.0
+    assert rep.c1 == pytest.approx(0.19267, abs=1e-5)
+    assert all(math.isfinite(c) for c in (rep.c1, rep.c2, rep.c3))
 
 
 def test_bounds_over_horizon_nested_warns():
@@ -484,7 +532,9 @@ def test_h_g_closed_forms_frank():
 
 def test_sample_triple_marginals():
     spec = FrankTri(P1, P2, E1, 1.0)
-    x1, x2, th = spec.sample_triple(np.random.default_rng(3), 100_000)
+    rng = np.random.default_rng(3)
+    th, state = spec.sample_theta(rng, 100_000)
+    x1, x2 = spec.sample_claims(rng, state)
     assert np.mean(x1 > 1.0) == pytest.approx(P1.sf(1.0), abs=0.005)
     assert np.mean(x2 > 1.0) == pytest.approx(P2.sf(1.0), abs=0.005)
     assert np.mean(th) == pytest.approx(1.0, abs=0.02)

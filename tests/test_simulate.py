@@ -227,22 +227,28 @@ def test_clopper_pearson_edges_and_symmetry():
 
 
 def _naive_paths(config, rng, n, t_grid):
-    """Discounted claim pair per path at each grid time, shapes (n, m)."""
+    """Discounted claim pair per path at each grid time, shapes (n, m).
+
+    Each round draws theta for every alive path, then the claims of the
+    arrivals inside the horizon.
+    """
     m = len(t_grid)
     acc1, acc2 = np.zeros((n, m)), np.zeros((n, m))
     clock = np.zeros(n)
     alive_idx = np.arange(n)
     while alive_idx.size:
-        x1, x2, theta = config.dependence.sample_triple(rng, alive_idx.size)
+        theta, arrivals = config.dependence.sample_theta(rng, alive_idx.size)
         clock[alive_idx] += theta
         sigma = clock[alive_idx]
         arrived = sigma <= t_grid[-1]
         rows = alive_idx[arrived]
-        sig = sigma[arrived]
-        bucket = np.searchsorted(t_grid, sig, side="left")
-        disc = np.exp(-config.r * sig) if config.r > 0 else 1.0
-        acc1[rows, bucket] += np.asarray(x1)[arrived] * disc
-        acc2[rows, bucket] += np.asarray(x2)[arrived] * disc
+        if rows.size:
+            x1, x2 = config.dependence.sample_claims(rng, arrivals[..., arrived])
+            sig = sigma[arrived]
+            bucket = np.searchsorted(t_grid, sig, side="left")
+            disc = np.exp(-config.r * sig) if config.r > 0 else 1.0
+            acc1[rows, bucket] += x1 * disc
+            acc2[rows, bucket] += x2 * disc
         alive_idx = rows
     return np.cumsum(acc1, axis=1), np.cumsum(acc2, axis=1)
 
@@ -318,11 +324,11 @@ def compare_frank_config(batch, dep=FrankTri(P1, P1, E1, 1.0)):
 @pytest.mark.parametrize(
     "dep, batch, threads, want",
     [
-        (FrankTri(P1, P1, E1, 1.0), 500_000, 1, [[91, 6, 1], [297, 22, 2], [600, 55, 4], [1021, 125, 9]]),
-        (FrankTri(P1, P1, E1, 1.0), 70_000, 2, [[91, 6, 1], [297, 22, 2], [600, 55, 4], [1021, 125, 9]]),
-        (Independent(P1, P1, E1), 70_000, 2, [[146, 12, 2], [371, 43, 3], [752, 93, 5], [1150, 146, 7]]),
+        (FrankTri(P1, P1, E1, 1.0), 500_000, 1, [[98, 7, 3], [304, 25, 4], [621, 56, 4], [1016, 109, 11]]),
+        (FrankTri(P1, P1, E1, 1.0), 70_000, 2, [[98, 7, 3], [304, 25, 4], [621, 56, 4], [1016, 109, 11]]),
+        (Independent(P1, P1, E1), 70_000, 2, [[155, 9, 2], [402, 43, 2], [740, 85, 7], [1098, 156, 12]]),
         (NestedFrankProduct(P1, P1, E1, 0.5), 70_000, 2,
-         [[93, 10, 0], [314, 28, 0], [618, 58, 6], [1052, 109, 6]]),
+         [[80, 13, 1], [314, 38, 5], [643, 73, 4], [1094, 114, 9]]),
     ],
     ids=["one-batch", "three-batches", "independent-three-batches", "nested05-three-batches"],
 )
@@ -386,9 +392,11 @@ def _naive_lemma33_tallies(config, n, t_grid, boxes, n_paths):
     """lemma33_check's four tallies per (t, box), shape (len(t_grid), len(boxes), 4).
 
     Each block's paths run one arrival at a time to the largest t on the
-    block's own claim stream; per path the reference records N(t) at every
-    grid time (the arrivals at times <= t) and its first n discounted claim
-    pairs, which are the claims of every path with N(t) = n.
+    block's own claim stream, drawing theta for every alive path and then
+    the claims of the arrivals inside the horizon; per path the reference
+    records N(t) at every grid time (the arrivals at times <= t) and its
+    first n discounted claim pairs, which are the claims of every path with
+    N(t) = n.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     tally = np.zeros((len(t_grid), len(boxes), 4), dtype=np.int64)
@@ -399,16 +407,19 @@ def _naive_lemma33_tallies(config, n, t_grid, boxes, n_paths):
         clock = np.zeros(size)
         alive, k = np.arange(size), 0
         while alive.size:
-            x1, x2, theta = config.dependence.sample_triple(rng, alive.size)
+            theta, arrivals = config.dependence.sample_theta(rng, alive.size)
             clock[alive] += theta
             arrived = clock[alive] <= t_grid.max()
             alive = alive[arrived]
+            if not alive.size:
+                break
+            x1, x2 = config.dependence.sample_claims(rng, arrivals[..., arrived])
             sigma = clock[alive]
             counts[alive] += sigma[:, None] <= t_grid
             if k < n:
                 disc = np.exp(-config.r * sigma)
-                v1[k, alive] = np.asarray(x1)[arrived] * disc
-                v2[k, alive] = np.asarray(x2)[arrived] * disc
+                v1[k, alive] = x1 * disc
+                v2[k, alive] = x2 * disc
             k += 1
         s1, s2 = np.zeros(size), np.zeros(size)
         for k in range(n):  # summed in arrival order, as the paths accumulate them
@@ -459,26 +470,51 @@ def test_lemma33_grid_matches_naive_reference(dep, r, t_grid, boxes):
     assert _lemma33_cells([[triple] for triple in one]) == _lemma33_cells([[per_box[0]] for per_box in got])
 
 
+def _count_draws(monkeypatch, cls):
+    """Tally the arrivals that cls's two sampler stages draw for: {"theta": count, "claims": count}."""
+    drawn = {"theta": 0, "claims": 0}
+    sample_theta, sample_claims = cls.sample_theta, cls.sample_claims
+
+    def theta(self, rng, n):
+        drawn["theta"] += n
+        return sample_theta(self, rng, n)
+
+    def claims(self, rng, state):
+        x1, x2 = sample_claims(self, rng, state)
+        drawn["claims"] += x1.size
+        return x1, x2
+
+    monkeypatch.setattr(cls, "sample_theta", theta)
+    monkeypatch.setattr(cls, "sample_claims", claims)
+    return drawn
+
+
+def test_grid_draws_claims_only_inside_the_horizon(monkeypatch):
+    # arrivals at 0.25, 0.5, ..., 2.0 and 2.25: theta 9 times per path,
+    # claims only for the 8 arrivals inside the horizon
+    drawn = _count_draws(monkeypatch, Independent)
+    simulate_grid(make_config(dep=Independent(P1, P1, Deterministic(0.25))), GRID, [Box2(1.0, 1.0, 5.0, 5.0)], 1000)
+    assert drawn == {"theta": 9 * 1000, "claims": 8 * 1000}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lemma33_stops_after_round_n(monkeypatch, n):
-    # the event scores only round n, so no path draws a triple after it: at
-    # most n + 1 per path, where running every path to t = 2 would draw ~9
+    # the event scores only round n, so no path draws after it: at most n + 1
+    # thetas and n claim pairs per path, where running every path to t = 2
+    # would draw ~9 of each
     cfg = make_config(dep=FrankTri(P1, P1, Exponential(4.0), 1.0))
     box, n_paths = Box2(1.0, 1.0, 5.0, 5.0), 100_000
-    drawn = []
-    sample_triple = FrankTri.sample_triple
-
-    def counted(self, rng, k):
-        drawn.append(k)
-        return sample_triple(self, rng, k)
-
-    monkeypatch.setattr(FrankTri, "sample_triple", counted)
+    drawn = _count_draws(monkeypatch, FrankTri)
     lhs, rhs, _ = lemma33_check(cfg, n, 2.0, box, n_paths)
     assert lhs.hits > 20 and rhs.hits > 20
-    assert n_paths < sum(drawn) <= n_paths * (n + 1)
-    # eight arrivals lie inside the horizon, but the cap of 7 is never reached
+    assert n_paths < drawn["theta"] <= n_paths * (n + 1)
+    assert drawn["claims"] <= n_paths * n
+    # eight arrivals lie inside the horizon, but the cap of 7 is never reached;
+    # every path draws theta n + 1 times and claims n times
     det = make_config(dep=Independent(P1, P1, Deterministic(0.25)))
+    drawn = _count_draws(monkeypatch, Independent)
     full = lemma33_check(det, n, 2.0, box, 1000)
+    assert drawn == {"theta": (n + 1) * 1000, "claims": n * 1000}
     monkeypatch.setattr(simulate, "MAX_ARRIVALS", 7)
     assert lemma33_check(det, n, 2.0, box, 1000) == full
 
