@@ -490,11 +490,16 @@ def _count_draws(monkeypatch, cls):
 
 
 def test_grid_draws_claims_only_inside_the_horizon(monkeypatch):
-    # arrivals at 0.25, 0.5, ..., 2.0 and 2.25: theta 9 times per path,
-    # claims only for the 8 arrivals inside the horizon
+    # a path draws theta N(t_max) + 1 times and claims N(t_max) times: with
+    # arrivals at 0.25, 0.5, ..., 2.0 and 2.25, that is 9 and 8
+    box = Box2(1.0, 1.0, 5.0, 5.0)
     drawn = _count_draws(monkeypatch, Independent)
-    simulate_grid(make_config(dep=Independent(P1, P1, Deterministic(0.25))), GRID, [Box2(1.0, 1.0, 5.0, 5.0)], 1000)
+    simulate_grid(make_config(dep=Independent(P1, P1, Deterministic(0.25))), GRID, [box], 1000)
     assert drawn == {"theta": 9 * 1000, "claims": 8 * 1000}
+    # where paths leave at different rounds, too
+    drawn.update(theta=0, claims=0)
+    simulate_grid(make_config(dep=Independent(P1, P1, Exponential(4.0))), GRID, [box], 10_000)
+    assert drawn["claims"] == drawn["theta"] - 10_000 > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -508,7 +513,7 @@ def test_lemma33_stops_after_round_n(monkeypatch, n):
     lhs, rhs, _ = lemma33_check(cfg, n, 2.0, box, n_paths)
     assert lhs.hits > 20 and rhs.hits > 20
     assert n_paths < drawn["theta"] <= n_paths * (n + 1)
-    assert drawn["claims"] <= n_paths * n
+    assert drawn["claims"] == drawn["theta"] - n_paths  # none for a path's last theta
     # eight arrivals lie inside the horizon, but the cap of 7 is never reached;
     # every path draws theta n + 1 times and claims n times
     det = make_config(dep=Independent(P1, P1, Deterministic(0.25)))
