@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -407,6 +408,11 @@ def run(cfg: dict, threads: int = 1) -> None:
         _write_csv(out, ["n", "a", "b", "mid", "m", "witness", "self_conv_ratio_at_a", "middle_part_ratio_at_a"], rows)
         return
 
+    if experiment in ("copula-check", "verify-conditions"):
+        report = bounds_over_horizon(model.dependence, model.t_max)
+        for w in report.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+
     if experiment == "copula-check":
         dep = model.dependence
         rng = np.random.default_rng(model.seed)
@@ -414,9 +420,6 @@ def run(cfg: dict, threads: int = 1) -> None:
         lo = rng.random((n_boxes, 3))
         hi = lo + rng.random((n_boxes, 3)) * (1.0 - lo)
         min_vol = float(dep.c_volumes(lo, hi).min())
-        report = bounds_over_horizon(dep, model.t_max)
-        for w in report.warnings:
-            print(f"warning: {w}", file=sys.stderr)
         rows = [
             ["min_c_volume", min_vol],
             ["mean_h1_minus_1", mean_h_check(dep, 1) - 1.0],
@@ -430,9 +433,6 @@ def run(cfg: dict, threads: int = 1) -> None:
         return
 
     if experiment == "verify-conditions":
-        report = bounds_over_horizon(model.dependence, model.t_max)
-        for w in report.warnings:
-            print(f"warning: {w}", file=sys.stderr)
         rows = []
         for condition, claims in CONDITION_CLAIMS.items():
             for i in claims:
@@ -473,6 +473,8 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1, help="worker threads for simulation blocks")
     parser.add_argument("--out", default=None, help="override the config output path ('-' for stdout)")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
 
     try:
         with open(args.config) as fh:
@@ -493,7 +495,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        run(cfg, threads=max(1, args.threads))
+        run(cfg, threads=args.threads)
     except Exception as exc:  # noqa: BLE001 - harness boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -501,4 +503,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # else interpreter finalization walks numpy's whole object graph
+    sys.exit(code)

@@ -8,8 +8,8 @@ variant carries
 * the joint copula CDF and C-volumes,
 * exact conditional distributions (given theta; given the other claim and
   theta), obtained from closed-form copula partial derivatives, and the
-  window probabilities under them, each factored in the window widths so
-  they stay accurate deep in the tail,
+  window probabilities under them, each formed per unit window width so
+  they stay accurate deep in the tail, and finite where a width underflows,
 * an exact closed-form sampler in two stages: ``sample_uniform`` draws W
   and the per-arrival state the claims need, and ``sample_uv`` draws
   (U, V) given that state, for only the arrivals a caller keeps (the
@@ -24,14 +24,17 @@ and window probabilities are ``DependenceSpec`` methods that map their
 arguments to that scale once (a window (x, x+d] of claim i to
 (u_lo, u_hi, width) through F_i, theta = s to w = G(s), the other claim's
 value z to v = F_j(z)) and call the variant's uniform-scale forms
-``_h``, ``_g``, ``_g_ij``, ``_given_w``, ``_joint_given_w`` and ``_given_vw``.
+``_h``, ``_g``, ``_g_ij``, ``_given_w``, ``_joint_given_w`` and ``_given_vw``;
+the last three are per unit window width, and the methods multiply by
+the widths once.
 
 Conditions 1-3 are evaluated in one place, ``_condition_terms``: for
-each Condition and claim (``CONDITION_CLAIMS``) it gives the exact
-conditional window probability, the unconditional one and the limit
-weight.  The horizon bounds and the conditional-ratio scans both read
-it, so the scans cross-check the hard-coded weights against the exact
-conditionals with the same terms the bounds report.
+each Condition and claim (``CONDITION_CLAIMS``) it gives the limit weight
+and the exact conditional/unconditional window-probability ratio, which
+is the per-unit form itself, so it stays finite where a window
+probability underflows.  The horizon bounds and the conditional-ratio
+scans both read it, so the scans cross-check the hard-coded weights
+against the exact conditionals with the same terms the bounds report.
 """
 
 from __future__ import annotations
@@ -149,16 +152,19 @@ class DependenceSpec:
         return self._g_ij(i, self._marginal(3 - i).cdf(z), self.g_dist.cdf(s))
 
     def cond_local_prob_given_theta(self, i: int, win: LocalWindow, s):
-        """Exact P(X_i in (x, x+d] | theta = s), factored in the window width."""
-        return self._given_w(i, *self._window(i, win), self.g_dist.cdf(s))[()]
+        """Exact P(X_i in (x, x+d] | theta = s): the width times the per-unit form."""
+        u = self._window(i, win)
+        return (u[2] * self._given_w(i, *u, self.g_dist.cdf(s)))[()]
 
     def cond_joint_local_prob_given_theta(self, win1: LocalWindow, win2: LocalWindow, s):
-        """Exact P(X1 in win1, X2 in win2 | theta = s), factored in both widths."""
-        return self._joint_given_w(*self._window(1, win1), *self._window(2, win2), self.g_dist.cdf(s))[()]
+        """Exact P(X1 in win1, X2 in win2 | theta = s): both widths times the per-unit form."""
+        u, v = self._window(1, win1), self._window(2, win2)
+        return (u[2] * v[2] * self._joint_given_w(*u, *v, self.g_dist.cdf(s)))[()]
 
     def cond_local_prob_given_other(self, i: int, win: LocalWindow, z, s):
         """Exact P(X_i in (x, x+d] | X_j = z, theta = s), j the other claim."""
-        return self._given_vw(i, *self._window(i, win), self._marginal(3 - i).cdf(z), self.g_dist.cdf(s))[()]
+        u = self._window(i, win)
+        return (u[2] * self._given_vw(i, *u, self._marginal(3 - i).cdf(z), self.g_dist.cdf(s)))[()]
 
     # --- derived operations -----------------------------------------------
 
@@ -248,21 +254,20 @@ class SarmanovFGM(DependenceSpec):
         return (self.g12, self.g13, self.g23) if i == 1 else (self.g12, self.g23, self.g13)
 
     def _given_w(self, i, u_lo, u_hi, du, w):
-        # factored form: the polynomial corner differences collapse to a
-        # single multiple of the window width, avoiding cancellation
-        return du * (1 + self._oriented(i)[1] * (1 - u_lo - u_hi) * (1 - 2 * w))
+        # the polynomial corner differences collapse to the window width
+        # times this bracket, so nothing cancels
+        return 1 + self._oriented(i)[1] * (1 - u_lo - u_hi) * (1 - 2 * w)
 
     def _joint_given_w(self, u_lo, u_hi, du, v_lo, v_hi, dv, w):
         dw = 1 - 2 * w
         su, sv = 1 - u_lo - u_hi, 1 - v_lo - v_hi
-        return du * dv * (1 + self.g12 * su * sv + self.g13 * su * dw + self.g23 * sv * dw)
+        return 1 + self.g12 * su * sv + self.g13 * su * dw + self.g23 * sv * dw
 
     def _given_vw(self, i, u_lo, u_hi, du, v, w):
         dv, dw = 1 - 2 * v, 1 - 2 * w
         su = 1 - u_lo - u_hi
         g_uv, g_uw, g_vw = self._oriented(i)
-        num = du * (1 + g_uv * su * dv + g_uw * su * dw + g_vw * dv * dw)
-        return num / (1 + g_vw * dv * dw)
+        return (1 + g_uv * su * dv + g_uw * su * dw + g_vw * dv * dw) / (1 + g_vw * dv * dw)
 
     def sample_uniform(self, rng, n):
         # W is uniform, and the claims need nothing else
@@ -387,9 +392,11 @@ class _Frank(DependenceSpec):
     def _alpha(self):
         return math.expm1(-self.gamma)
 
-    def _dlam(self, lo, d):
-        """lam(lo + d) - lam(lo) without cancellation."""
-        return np.exp(-self.gamma * np.asarray(lo, dtype=float)) * np.expm1(-self.gamma * d)
+    def _per(self, lo, d):
+        """(lam(lo + d) - lam(lo)) / d; -gamma e^(-gamma lo), its limit, where -gamma d is 0."""
+        x = -self.gamma * np.asarray(d, dtype=float)
+        rel = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)  # expm1(x) / x
+        return -self.gamma * np.exp(-self.gamma * np.asarray(lo, dtype=float)) * rel
 
     def _given_w(self, i, u_lo, u_hi, du, w):
         # exact factored corner difference of dC/dw with the other claim's
@@ -397,8 +404,7 @@ class _Frank(DependenceSpec):
         a = self._alpha
         lw = _lam(self.gamma, w)
         l1, l2 = _lam(self.gamma, u_lo), _lam(self.gamma, u_hi)
-        dl = self._dlam(u_lo, du)
-        return (1 + lw) * a * dl / ((a + l2 * lw) * (a + l1 * lw))
+        return (1 + lw) * a * self._per(u_lo, du) / ((a + l2 * lw) * (a + l1 * lw))
 
     def _h(self, i, w):
         return self.gamma * np.exp(self.gamma * w) / math.expm1(self.gamma)
@@ -418,7 +424,8 @@ class FrankTri(_Frank):
         # terms >= 0: a (lam(1) - lam(u)) + lu (lam(1) - lam(v)) + lu lv e^(-gamma w)
         with np.errstate(divide="ignore", invalid="ignore"):
             ew = np.exp(-g * np.asarray(w, dtype=float))
-            q = (a * self._dlam(u, 1 - u) + lu * self._dlam(v, 1 - v) + lu * lv * ew) / a**2
+            dlu, dlv = (np.exp(-g * x) * np.expm1(-g * (1 - x)) for x in (u, v))  # lam(1) - lam(x)
+            q = (a * dlu + lu * dlv + lu * lv * ew) / a**2
             return (-np.where(t < -0.5, np.log(q), np.log1p(t)) / g)[()]
 
     def cond_cdf_given_w(self, u, v, w):
@@ -436,7 +443,7 @@ class FrankTri(_Frank):
         lw = _lam(self.gamma, w)
         lu1, lu2 = _lam(self.gamma, u_lo), _lam(self.gamma, u_hi)
         lv1, lv2 = _lam(self.gamma, v_lo), _lam(self.gamma, v_hi)
-        dlu, dlv = self._dlam(u_lo, du), self._dlam(v_lo, dv)
+        dlu, dlv = self._per(u_lo, du), self._per(v_lo, dv)
         denom = (
             (a**2 + lu1 * lv1 * lw)
             * (a**2 + lu1 * lv2 * lw)
@@ -450,7 +457,7 @@ class FrankTri(_Frank):
         a = self._alpha
         lv, lw = _lam(self.gamma, v), _lam(self.gamma, w)
         lu1, lu2 = _lam(self.gamma, u_lo), _lam(self.gamma, u_hi)
-        dlu = self._dlam(u_lo, du)
+        dlu = self._per(u_lo, du)
         c = lv * lw
         num = a * (a + c) ** 2 * dlu * (a**4 - c**2 * lu1 * lu2)
         return num / ((a**2 + lu2 * c) ** 2 * (a**2 + lu1 * c) ** 2)
@@ -558,35 +565,35 @@ class NestedFrankProduct(_Frank):
         return (u * (1 + lk) * (a + lv * lw) ** 2 / ((1 + lv) * (a + lk * lw) ** 2))[()]
 
     def _joint_given_w(self, u1, u2, du, v1, v2, dv, w):
-        # four-corner difference of dC/dw = (1 + lw) lk / D, D = a + lk lw, k = uv;
-        # each u-difference at fixed v is (1 + lw) a (lk - lk') / (D D'), and the
-        # lk differences and the mixed one, lk22 - lk21 - lk12 + lk11, are taken
-        # without cancellation, so the result is factored in du and dv
+        # four-corner difference of dC/dw = (1 + lw) lk / D, D = a + lk lw, k = uv, per unit
+        # du dv; each u-difference at fixed v is (1 + lw) a (lk - lk') / (D D'), and the lk
+        # differences and the mixed one, lk22 - lk21 - lk12 + lk11, are per unit width too
         a, g = self._alpha, self.gamma
         lw = _lam(g, w)
         k11 = u1 * v1
-        dl_u1 = self._dlam(k11, du * v1)  # lk21 - lk11
-        dl_v1 = self._dlam(k11, u1 * dv)  # lk12 - lk11
-        dl_v2 = self._dlam(k11 + du * v1, (u1 + du) * dv)  # lk22 - lk21
+        pu1 = v1 * self._per(k11, du * v1)  # (lk21 - lk11) / du
+        pv1 = u1 * self._per(k11, u1 * dv)  # (lk12 - lk11) / dv
+        pv2 = (u1 + du) * self._per(k11 + du * v1, (u1 + du) * dv)  # (lk22 - lk21) / dv
         ea, eb = np.expm1(-g * du * v1), np.expm1(-g * u1 * dv)
-        mixed = np.exp(-g * k11) * (ea * eb + (1 + ea) * (1 + eb) * np.expm1(-g * du * dv))
+        # e^(-g k11) (ea eb + (1 + ea) (1 + eb) expm1(-g du dv)) / (du dv)
+        mixed = pu1 * u1 * self._per(0.0, u1 * dv) + (1 + ea) * (1 + eb) * self._per(k11, du * dv)
         d11 = a + _lam(g, k11) * lw
-        d21, d12 = d11 + lw * dl_u1, d11 + lw * dl_v1
-        d22 = d21 + lw * dl_v2
-        num = mixed * d21 * d11 - dl_u1 * lw * (dl_v2 * d11 + dl_v1 * d21 + lw * dl_v1 * dl_v2)
+        d21, d12 = d11 + lw * du * pu1, d11 + lw * dv * pv1
+        d22 = d21 + lw * dv * pv2
+        num = mixed * d21 * d11 - pu1 * lw * (pv2 * d11 + pv1 * d21 + lw * dv * pv1 * pv2)
         return (1 + lw) * a * num / (d11 * d12 * d21 * d22)
 
     def _given_vw(self, i, u1, u2, du, v, w):
-        # u (1 + lk) / D(k)^2 differenced over the window, factored in du
+        # u (1 + lk) / D(k)^2 differenced over the window, per unit du,
         # through D2 - D1 = lw dlk and 1 + lk2 = 1 + lk1 + dlk
         a, g = self._alpha, self.gamma
         lv, lw = _lam(g, v), _lam(g, w)
         k1 = u1 * v
         lk1 = _lam(g, k1)
-        dlk = self._dlam(k1, du * v)
+        pk = v * self._per(k1, du * v)  # (lk2 - lk1) / du
         d1 = a + lk1 * lw
-        d2 = d1 + lw * dlk
-        num = du * (1 + lk1 + dlk) * d1**2 + u1 * dlk * (d1**2 - (1 + lk1) * lw * (d1 + d2))
+        d2 = d1 + lw * du * pk
+        num = (1 + lk1 + du * pk) * d1**2 + u1 * pk * (d1**2 - (1 + lk1) * lw * (d1 + d2))
         return (a + lv * lw) ** 2 * num / ((1 + lv) * d1**2 * d2**2)
 
     def sample_uniform(self, rng, n):
@@ -632,21 +639,22 @@ CONDITION_CLAIMS = {1: (1, 2), 2: (1,), 3: (1, 2)}
 
 
 def _condition_terms(spec: DependenceSpec, condition: int, i: int, win: LocalWindow, s_grid, z_grid):
-    """(exact conditional window probability, unconditional one, limit weight) of a Condition.
+    """(exact conditional/unconditional window-probability ratio, limit weight) of a Condition.
 
     The conditioning is on theta = s (Condition 1: claim i, weight h_i;
     Condition 2: both claims in ``win``, weight g), or on the other claim
     at z and theta = s over the (z, s) grid (Condition 3, weight g_ij).
+    The ratio is the per-unit form, which reads its limit, not 0/0, where
+    the window probabilities underflow.
     """
-    fi = spec._marginal(i)
+    w = spec.g_dist.cdf(s_grid)
     if condition == 1:
-        return spec.cond_local_prob_given_theta(i, win, s_grid), local_prob(fi, win), spec.h_func(i, s_grid)
+        return spec._given_w(i, *spec._window(i, win), w), spec._h(i, w)
     if condition == 2:
-        return (spec.cond_joint_local_prob_given_theta(win, win, s_grid),
-                local_prob(spec.f1, win) * local_prob(spec.f2, win), spec.g_func(s_grid))
+        return spec._joint_given_w(*spec._window(1, win), *spec._window(2, win), w), spec._g(w)
     if condition == 3:
-        zz, ss = np.meshgrid(z_grid, s_grid, indexing="ij")
-        return spec.cond_local_prob_given_other(i, win, zz, ss), local_prob(fi, win), spec.g_ij_func(i, zz, ss)
+        v, ww = np.meshgrid(spec._marginal(3 - i).cdf(z_grid), w, indexing="ij")
+        return spec._given_vw(i, *spec._window(i, win), v, ww), spec._g_ij(i, v, ww)
     raise ValueError("condition must be 1, 2 or 3")
 
 
@@ -658,35 +666,23 @@ def bounds_over_horizon(spec: DependenceSpec, horizon: float) -> BoundsReport:
     and 1e2..1e12.  A weight whose grid minimum is <= 0 fails its
     condition (h_i Condition 1, g Condition 2, g_ij Condition 3), with one
     warning each.  C1-C3 are estimated as the largest conditional/
-    unconditional local-probability ratio minus 1 over the grids, probing
-    the windows (x, x+1] for x = 1e3 and 1e4.  A probe whose ratio is not
-    finite (its window probabilities underflow, so it reads 0/0) is left
-    out of its C and named in a warning.
+    unconditional window-probability ratio minus 1 over the grids, probing
+    the windows (x, x+1] for x = 1e3 and 1e4; each ratio is formed per unit
+    width, so it is finite even where the window probabilities underflow.
     """
     s_grid = np.linspace(0.0, horizon, 101)
     z_grid = np.concatenate([np.linspace(0.0, 50.0, 51), [1e2, 1e3, 1e6, 1e12]])
-    weights, c, dropped = [], [], []
+    weights, c = [], []
     for k, claims in CONDITION_CLAIMS.items():
-        probes = [(i, x, _condition_terms(spec, k, i, LocalWindow(x, 1.0), s_grid, z_grid))
+        probes = [_condition_terms(spec, k, i, LocalWindow(x, 1.0), s_grid, z_grid)
                   for i in claims for x in (1e3, 1e4)]
-        ratios = []
-        for i, x, (exact, base, _) in probes:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = float(np.max(exact / base)) - 1.0
-            if math.isfinite(ratio):
-                ratios.append(ratio)
-            else:
-                of = "the claim pair" if k == 2 else f"claim {i}"
-                dropped.append(f"the C{k} probe of {of} at (x, x+1], x = {x:g}, is not finite "
-                               f"(its window probabilities underflow), so c{k} leaves it out")
-        c.append(max([0.0, *ratios]))
+        c.append(max([0.0, *(float(np.max(ratio)) - 1.0 for ratio, _ in probes)]))
         # a weight does not depend on the window: one per claim
-        weights.append(np.concatenate([np.asarray(weight).ravel() for _, _, (_, _, weight) in probes[::2]]))
+        weights.append(np.concatenate([np.asarray(weight).ravel() for _, weight in probes[::2]]))
     warnings = tuple(f"{name} is nonpositive on the grid: Condition {k} fails for this horizon"
                      for k, name, vals in zip(CONDITION_CLAIMS, ("h_i", "g", "g_ij"), weights) if vals.min() <= 0)
     # in field order: min and max of h_i (b), g (d) and g_ij (a), then C1-C3
-    return BoundsReport(*(float(f(vals)) for vals in weights for f in (np.min, np.max)), *c,
-                        warnings=warnings + tuple(dropped))
+    return BoundsReport(*(float(f(vals)) for vals in weights for f in (np.min, np.max)), *c, warnings=warnings)
 
 
 def condition_ratio_scan(
@@ -709,9 +705,9 @@ def condition_ratio_scan(
     z_grid = np.concatenate([np.linspace(0.0, 20.0, 21), [1e2, 1e4]])
     out = np.empty(len(x_grid))
     for k, x in enumerate(x_grid):
-        exact, base, weight = _condition_terms(spec, condition, i, LocalWindow(x, d), s_grid, z_grid)
+        ratio, weight = _condition_terms(spec, condition, i, LocalWindow(x, d), s_grid, z_grid)
         with np.errstate(divide="ignore"):  # a vanishing weight (g at nested gamma = 1) reads inf
-            out[k] = float(np.max(np.abs(exact / (base * weight) - 1.0)))
+            out[k] = float(np.max(np.abs(ratio / weight - 1.0)))
     return out
 
 

@@ -175,19 +175,27 @@ def test_copula_check_runs(tmp_path):
     assert len(rows) >= 2
 
 
-def test_copula_check_warns_of_underflowed_probes(tmp_path):
-    # the windows at x = 1e4 have probability 0 under Weibull(0.8, 2): each
-    # Condition names its dropped probe, and c1 comes from x = 1e3 alone
+def test_copula_check_takes_underflowed_probes_at_their_limit(tmp_path):
+    # the windows at x = 1e4 have probability 0 under Weibull(0.8, 2); their
+    # ratios are formed per unit width, so every probe counts and none is named
     out = tmp_path / "out.csv"
     model = dict(BASE_MODEL, f1={"family": "weibull", "shape": 0.8, "scale": 2.0},
                  f2={"family": "pareto", "alpha": 2.5}, g={"family": "exponential", "rate": 2.0},
                  dependence={"kind": "sarmanov-fgm", "g12": -0.5, "g13": 0.2, "g23": 0.1})
     res = run_cli(tmp_path, make_doc("copula-check", model=model, output_path=str(out), n_boxes=2000))
     assert res.returncode == 0, res.stderr
-    lines = res.stderr.splitlines()
-    assert [line[:len("warning: the C1")] for line in lines] == [f"warning: the C{k}" for k in (1, 2, 3)], lines
-    assert all("x = 10000" in line for line in lines)
-    assert float(dict(read_csv(out)[1:])["c1"]) == pytest.approx(0.19267, abs=1e-5)
+    assert res.stderr == ""
+    metrics = {key: float(val) for key, val in read_csv(out)[1:]}
+    assert all(math.isfinite(val) for val in metrics.values()), metrics
+    assert metrics["c1"] == pytest.approx(0.19267, abs=1e-5)
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(tmp_path, threads):
+    # a nonpositive worker count is an error, not a silent single worker
+    res = run_cli(tmp_path, make_doc("simulate"), "--threads", threads)
+    assert res.returncode == 2, res.stderr
+    assert f"argument --threads: must be >= 1, got {threads}" in res.stderr
 
 
 def test_counterexample_runs(tmp_path):

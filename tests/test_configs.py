@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,35 @@ def test_verify_conditions_series_all_decrease(tmp_path, config, dependence):
     for key, devs in series.items():
         assert len(devs) == len(doc["grids"]["x_grid"]), key
         assert all(a > b for a, b in zip(devs, devs[1:])), (key, devs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("experiment", ["verify-conditions", "copula-check"])
+@pytest.mark.parametrize(
+    "config, model",
+    [
+        ("verify_conditions_nested.json", {}),
+        ("verify_conditions_fgm.json", {}),
+        ("verify_conditions_frank.json", {}),
+        ("verify_conditions_nested.json", {"dependence": {"kind": "frank-tri", "gamma": 1.0}}),
+        # f2's windows have probability 0 from x = 1e6 on (exp(-1000)): their
+        # ratios once read 0/0, and the deviations nan with a numpy warning
+        ("verify_conditions_nested.json", {"f2": {"family": "weibull", "shape": 0.5},
+                                           "dependence": {"kind": "sarmanov-fgm", "g12": -0.5,
+                                                          "g13": 0.2, "g23": 0.1}}),
+    ],
+    ids=["nested", "fgm", "frank", "frank-nested-grids", "fgm-weibull-tail"],
+)
+def test_condition_experiments_finite_and_quiet(tmp_path, capsys, config, model, experiment):
+    # every deviation and bound is a number, and nothing is printed on stderr
+    doc = json.loads((SHIPPED / config).read_text())
+    doc["model"].update(model)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(doc))
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out, newline="") as fh:
+        values = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+    if experiment == "verify-conditions":
+        assert len(values) == 5 * len(doc["grids"]["x_grid"])  # C1 and C3 for both claims, C2 once
+    assert all(math.isfinite(v) for v in values), values

@@ -22,6 +22,9 @@ from renewalrisk.copulas import (
 )
 from renewalrisk.marginals import Exponential, LocalWindow, Pareto, Weibull, local_prob
 
+# an unguarded divide in the copula layer fails here instead of printing a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 P1, P2, E1 = Pareto(1.0), Pareto(2.0), Exponential(1.0)
 
 
@@ -486,19 +489,19 @@ def test_bounds_over_horizon_frank():
     assert rep.b_lower <= h.min() + 1e-12 and h.max() <= rep.b_upper + 1e-12
 
 
-def test_bounds_over_horizon_names_underflowed_probes():
+def test_bounds_over_horizon_takes_underflowed_probes_at_their_limit():
     # Weibull(0.8, 2) gives (1e4, 1e4 + 1] the probability exp(-911), which
-    # underflows to 0: those probes read 0/0, and C1-C3 come from the others
+    # underflows to 0; the ratio per unit width still reads its limit there,
+    # so C1-C3 take both probes and no probe is named
     spec = SarmanovFGM(Weibull(0.8, 2.0), Pareto(2.5), Exponential(2.0), -0.5, 0.2, 0.1)
     rep = bounds_over_horizon(spec, 2.0)
-    assert rep.warnings == tuple(
-        f"the C{k} probe of {of} at (x, x+1], x = 10000, is not finite "
-        f"(its window probabilities underflow), so c{k} leaves it out"
-        for k, of in ((1, "claim 1"), (2, "the claim pair"), (3, "claim 1"))
-    )
+    assert rep.warnings == ()
+    assert local_prob(spec.f1, LocalWindow(1e4, 1.0)) == 0.0
     s_grid = np.linspace(0.0, 2.0, 101)
-    exact = spec.cond_local_prob_given_theta(1, LocalWindow(1e3, 1.0), s_grid)
-    assert rep.c1 == float(np.max(exact / local_prob(spec.f1, LocalWindow(1e3, 1.0)))) - 1.0
+    ratios = [spec.cond_local_prob_given_theta(1, LocalWindow(1e3, 1.0), s_grid)
+              / local_prob(spec.f1, LocalWindow(1e3, 1.0)),
+              spec.h_func(1, s_grid)]  # the per-unit ratio at u = 1 is h_1 itself
+    assert rep.c1 == pytest.approx(max(float(np.max(r)) for r in ratios) - 1.0, abs=1e-14)
     assert rep.c1 == pytest.approx(0.19267, abs=1e-5)
     assert all(math.isfinite(c) for c in (rep.c1, rep.c2, rep.c3))
 
