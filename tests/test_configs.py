@@ -60,8 +60,8 @@ def test_verify_conditions_series_all_decrease(tmp_path, config, dependence):
         ("verify_conditions_fgm.json", {}),
         ("verify_conditions_frank.json", {}),
         ("verify_conditions_nested.json", {"dependence": {"kind": "frank-tri", "gamma": 1.0}}),
-        # f2's windows have probability 0 from x = 1e6 on (exp(-1000)): their
-        # ratios once read 0/0, and the deviations nan with a numpy warning
+        # f2's windows have probability 0 from x = 1e6 on (exp(-1000)), where a
+        # ratio of window probabilities would read 0/0
         ("verify_conditions_nested.json", {"f2": {"family": "weibull", "shape": 0.5},
                                            "dependence": {"kind": "sarmanov-fgm", "g12": -0.5,
                                                           "g13": 0.2, "g23": 0.1}}),

@@ -359,6 +359,21 @@ def test_independent_condition_scans_exact_deep_in_the_tail(condition):
     assert np.all(dev <= 1e-12), dev
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [FrankTri(P1, Weibull(0.5), E1, 1.0), NestedFrankProduct(P1, Weibull(0.5), E1, 0.5),
+     SarmanovFGM(P1, Weibull(0.5), E1, -0.5, 0.2, 0.1)],
+    ids=["frank", "nested", "fgm"],
+)
+@pytest.mark.parametrize("condition", [1, 3])
+def test_condition_scans_read_the_limit_where_windows_underflow(spec, condition):
+    # Weibull(0.5) gives (x, x+1] the probability 0 from x = 1e6 on, and F2
+    # rounds to 1 there, so the ratio per unit width is its limit, the weight
+    assert local_prob(spec.f2, LocalWindow(1e6, 1.0)) == 0.0
+    dev = condition_ratio_scan(spec, 2, np.linspace(0.0, 2.0, 11), [1e6, 1e8], 1.0, condition=condition)
+    assert np.all(dev <= 1e-12), dev
+
+
 def _nested_bisection_sample(spec, rng, n):
     """Reference sampler: bisection on P(W <= w | U, V) = p, same draw order."""
     g = spec.gamma
@@ -498,10 +513,10 @@ def test_bounds_over_horizon_takes_underflowed_probes_at_their_limit():
     assert rep.warnings == ()
     assert local_prob(spec.f1, LocalWindow(1e4, 1.0)) == 0.0
     s_grid = np.linspace(0.0, 2.0, 101)
-    ratios = [spec.cond_local_prob_given_theta(1, LocalWindow(1e3, 1.0), s_grid)
-              / local_prob(spec.f1, LocalWindow(1e3, 1.0)),
-              spec.h_func(1, s_grid)]  # the per-unit ratio at u = 1 is h_1 itself
-    assert rep.c1 == pytest.approx(max(float(np.max(r)) for r in ratios) - 1.0, abs=1e-14)
+    win = LocalWindow(1e3, 1.0)
+    at_1e3 = spec.cond_local_prob_given_theta(1, win, s_grid) / local_prob(spec.f1, win)
+    # at x = 1e4, F1 rounds to 1 and the per-unit ratio is its limit h_1
+    assert rep.c1 == pytest.approx(max(np.max(at_1e3), np.max(spec.h_func(1, s_grid))) - 1.0, abs=1e-14)
     assert rep.c1 == pytest.approx(0.19267, abs=1e-5)
     assert all(math.isfinite(c) for c in (rep.c1, rep.c2, rep.c3))
 
