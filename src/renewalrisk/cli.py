@@ -401,8 +401,7 @@ def run(cfg: dict, threads: int = 1) -> None:
         tab = dens.table
         rows = []
         for n in range(1, tab.n_max + 1):
-            conv = dens.self_convolution_ratio(float(tab.a[n])) if n >= 2 else None
-            mid = dens.middle_part_ratio(float(tab.a[n])) if n >= 2 else None
+            conv, mid = dens.self_convolution_ratios(float(tab.a[n])) if n >= 2 else (None, None)
             rows.append([n, float(tab.a[n]), float(tab.b[n]), float(tab.mid[n]), int(tab.m[n]),
                          dens.almost_decreasing_witness(n), conv, mid])
         _write_csv(out, ["n", "a", "b", "mid", "m", "witness", "self_conv_ratio_at_a", "middle_part_ratio_at_a"], rows)

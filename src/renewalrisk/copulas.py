@@ -699,15 +699,15 @@ def condition_ratio_scan(
     condition=2 the joint conditional against F_1 F_2 * g; condition=3 the
     conditional given the other claim against F_i * g_ij, over z in 0..20,
     1e2 and 1e4.  For heavy-tailed marginals the deviations must shrink
-    along an increasing x grid.
+    along an increasing x grid.  Where a weight is 0 the deviation is inf.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     z_grid = np.concatenate([np.linspace(0.0, 20.0, 21), [1e2, 1e4]])
     out = np.empty(len(x_grid))
     for k, x in enumerate(x_grid):
         ratio, weight = _condition_terms(spec, condition, i, LocalWindow(x, d), s_grid, z_grid)
-        with np.errstate(divide="ignore"):  # a vanishing weight (g at nested gamma = 1) reads inf
-            out[k] = float(np.max(np.abs(ratio / weight - 1.0)))
+        quotient = np.divide(ratio, weight, out=np.full(np.shape(weight), np.inf), where=weight != 0)
+        out[k] = float(np.max(np.abs(quotient - 1.0)))
     return out
 
 

@@ -192,27 +192,15 @@ class CounterexampleF(Marginal):
             raise ValueError("n out of table range")
         return float(density_raw(self.table, self.table.mid[n]) / density_raw(self.table, self.table.b[n]))
 
-    def block_index(self, x: float) -> int:
-        """The n with x in (a_n, a_{n+1}]."""
-        a = self.table.a
-        if not a[1] < x <= a[-1]:
-            raise ValueError("x outside (a_1, a_{n_max+1}]")
-        return int(np.searchsorted(a, x, side="left") - 1)
-
-    def _segments(self, x: float) -> np.ndarray:
-        pts = np.concatenate([self.table.nodes, x - self.table.nodes])
-        pts = pts[(pts >= 0.0) & (pts <= x)]
-        pts = np.unique(np.concatenate([[0.0, x], pts]))
-        return pts
-
     def _conv_piece(self, x: float, lo: float, hi: float) -> float:
         """Integral of f(x-y) f(y) over [lo, hi] by per-segment Simpson.
 
-        Both factors are linear on each refined segment, so the integrand
-        is quadratic and Simpson's rule is exact.
+        The segments run between lo, hi and every node or x - node inside
+        [lo, hi] (here [lo, hi] lies in [0, x]).  Both factors are linear on
+        each, so the integrand is quadratic and Simpson's rule is exact.
         """
-        pts = self._segments(x)
-        pts = np.unique(np.clip(np.concatenate([pts, [lo, hi]]), lo, hi))
+        nodes = self.table.nodes
+        pts = np.unique(np.clip(np.concatenate([[0.0, x, lo, hi], nodes, x - nodes]), lo, hi))
         left, right = pts[:-1], pts[1:]
         mids = 0.5 * (left + right)
         h = right - left
@@ -223,29 +211,22 @@ class CounterexampleF(Marginal):
         vals = h / 6.0 * (integrand(left) + 4.0 * integrand(mids) + integrand(right))
         return float(np.sum(vals)) / self.norm**2
 
-    def self_convolution(self, x: float) -> tuple[float, float]:
-        """(I1, I2): the near-origin and middle parts of (f * f)(x).
+    def self_convolution_ratios(self, x: float) -> tuple[float, float]:
+        """(I(x) / 2 f(x), I2(x) / f(x)) for x in (a_1, a_{n_max+1}].
 
-        The split point a_{m_n} is taken for the block (a_n, a_{n+1}]
-        containing x; I(x) = 2 I1 + I2.
+        I = f * f splits at a_{m_n}, for the block (a_n, a_{n+1}] holding x,
+        as I = 2 I1 + I2: I1 over [0, a_{m_n}] and the middle part I2 over
+        [a_{m_n}, x - a_{m_n}].  The first ratio tends to 1; the second, the
+        part the single-big-jump principle kills, tends to 0.
         """
-        if not 2.0 <= x <= self.x_max:
-            raise ValueError("x must lie in [a_1, a_{n_max+1}]")
-        n = self.block_index(x)
-        g = float(self.table.a[self.table.m[n]])
+        a = self.table.a
+        if not a[1] < x <= self.x_max:
+            raise ValueError("x outside (a_1, a_{n_max+1}]")
+        g = float(a[self.table.m[np.searchsorted(a, x, side="left") - 1]])
         if 2 * g >= x:
             # degenerate split; everything counts as the near-origin part
-            return 0.5 * self._conv_piece(x, 0.0, x), 0.0
-        i1 = self._conv_piece(x, 0.0, g)
-        i2 = self._conv_piece(x, g, x - g)
-        return i1, i2
-
-    def self_convolution_ratio(self, x: float) -> float:
-        """I(x) / (2 f(x)); tends to 1 as x -> infinity."""
-        i1, i2 = self.self_convolution(x)
-        return (2.0 * i1 + i2) / (2.0 * self.pdf(x))
-
-    def middle_part_ratio(self, x: float) -> float:
-        """I2(x) / f(x); the part the single-big-jump principle kills."""
-        _, i2 = self.self_convolution(x)
-        return i2 / self.pdf(x)
+            i1, i2 = 0.5 * self._conv_piece(x, 0.0, x), 0.0
+        else:
+            i1, i2 = self._conv_piece(x, 0.0, g), self._conv_piece(x, g, x - g)
+        f = self.pdf(x)
+        return (2.0 * i1 + i2) / (2.0 * f), i2 / f

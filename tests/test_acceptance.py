@@ -153,9 +153,9 @@ def test_criterion_5_counterexample():
         abs(F.almost_decreasing_witness(n) / math.log(n + 1) - 1.0) <= 1e-12
         for n in range(1, 8)
     )
-    conv = [abs(F.self_convolution_ratio(tab.a[n]) - 1.0) for n in (2, 3, 4)]
+    conv = [abs(F.self_convolution_ratios(tab.a[n])[0] - 1.0) for n in (2, 3, 4)]
     conv_234_decreasing = conv[0] > conv[1] > conv[2]
-    mids = [F.middle_part_ratio(tab.a[n]) for n in range(2, 9)]
+    mids = [F.self_convolution_ratios(tab.a[n])[1] for n in range(2, 9)]
     mid_to_zero = all(a > b for a, b in zip(mids[1:], mids[2:])) and mids[-1] < 1e-11
 
     ok = (ordering and m12 and norm_ok and tail_ok and witness_ok
@@ -178,7 +178,7 @@ def test_criterion_5_supplement_true_trend():
     # and the middle part vanishes; this is the limit behaviour the
     # construction demonstrates
     F = CounterexampleF(8)
-    devs = [abs(F.self_convolution_ratio(F.table.a[n]) - 1.0) for n in range(3, 9)]
+    devs = [abs(F.self_convolution_ratios(F.table.a[n])[0] - 1.0) for n in range(3, 9)]
     assert all(a > b for a, b in zip(devs, devs[1:])), devs
     assert devs[-1] < 1e-3
 

@@ -431,18 +431,33 @@ def test_nested_gamma_one_warns(tmp_path):
     assert "warning: config.model.dependence.gamma" in res.stderr
 
 
-def test_verify_conditions_nested_gamma_one(tmp_path):
-    # a vanishing g fails Condition 2: an honest inf, with no numpy warning on stderr
+@pytest.mark.parametrize(
+    "marginals, x_grid, failing",
+    [
+        ({}, [10.0, 100.0], [("2", "1")]),
+        # at x = 1e8 a vanishing weight meets a per-unit ratio of 0, which read nan
+        ({"f1": {"family": "pareto", "alpha": 2.0}, "f2": {"family": "exponential", "rate": 0.5}},
+         [10.0, 1e4, 1e8], [("2", "1"), ("3", "1")]),
+        ({"f1": {"family": "weibull", "shape": 0.8, "scale": 2.0}, "f2": {"family": "pareto", "alpha": 2.5}},
+         [10.0, 1e4, 1e8], [("2", "1"), ("3", "2")]),
+    ],
+    ids=["pareto", "pareto-exponential", "weibull-pareto"],
+)
+def test_verify_conditions_nested_gamma_one(tmp_path, marginals, x_grid, failing):
+    # a vanishing g or g_ij fails its Condition: an honest inf, with no numpy warning on stderr
     doc = make_doc("verify-conditions")
+    doc["model"].update(marginals)
     doc["model"]["dependence"] = {"kind": "nested-frank-product", "gamma": 1.0}
-    doc["grids"]["x_grid"] = [10.0, 100.0]
+    doc["grids"]["x_grid"] = x_grid
     res = run_cli(tmp_path, doc)
     assert res.returncode == 0, res.stderr
     assert "RuntimeWarning" not in res.stderr
     assert "warning: g is nonpositive on the grid: Condition 2 fails for this horizon" in res.stderr
-    rows = list(csv.reader(res.stdout.splitlines()))
-    cond2 = [float(row[3]) for row in rows[1:] if row[0] == "2"]
-    assert len(cond2) == 2 and all(dev == math.inf for dev in cond2)
+    rows = list(csv.reader(res.stdout.splitlines()))[1:]
+    assert not any(math.isnan(float(row[3])) for row in rows)
+    for condition, claim in failing:
+        devs = [float(row[3]) for row in rows if row[:2] == [condition, claim]]
+        assert len(devs) == len(x_grid) and all(dev == math.inf for dev in devs), (condition, claim)
 
 
 def test_frank_simulate_at_large_gamma(tmp_path):

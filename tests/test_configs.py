@@ -51,7 +51,6 @@ def test_verify_conditions_series_all_decrease(tmp_path, config, dependence):
         assert all(a > b for a, b in zip(devs, devs[1:])), (key, devs)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("experiment", ["verify-conditions", "copula-check"])
 @pytest.mark.parametrize(
     "config, model",

