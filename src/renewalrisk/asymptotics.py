@@ -77,14 +77,14 @@ class AsymptoticValue:
 def theorem_rhs(
     f1: Marginal,
     f2: Marginal,
-    box: Box2 | Sequence[Box2],
+    boxes: Sequence[Box2],
     r: float,
-    t: float | Sequence[float],
+    ts: Sequence[float],
     tilted_1: TiltedMeasure,
     tilted_2: TiltedMeasure,
     tilted_joint: TiltedMeasure,
-):
-    """Evaluate the asymptotic right-hand side at horizon t.
+) -> list[list[AsymptoticValue]]:
+    """Evaluate the asymptotic right-hand side for each box at each horizon t.
 
     cross_term integrates P(X1 e^{-r(u+v)} in box1) P(X2 e^{-rv} in box2)
     plus the mirrored product over the cells of the tilted measures with
@@ -92,18 +92,13 @@ def theorem_rhs(
     diagonal_term integrates the product of both scaled window
     probabilities at a common time against the jointly-tilted measure.
 
-    Returns one AsymptoticValue for one Box2 and a scalar t.  ``box``
-    may also be a sequence of boxes; the result is then a list with one
-    value per box, each equal to what a call with that box alone
-    returns.  ``t`` may also be a sequence of horizons, in any order and
-    with repeats; the result is then a list of such results, one per
-    horizon.  Either way it comes from one pass up to the largest
-    horizon.
+    ``ts`` may come in any order and with repeats.  Returns one list per
+    horizon of one AsymptoticValue per box, all from one pass up to the
+    largest horizon.
     """
     grid = tilted_1.grid
     h = grid.step
-    ts = [float(t)] if np.ndim(t) == 0 else [float(v) for v in t]
-    boxes = [box] if isinstance(box, Box2) else list(box)
+    ts = [float(t) for t in ts]
     for tv in ts:
         if not 0.0 <= tv <= grid.t_max + 0.5 * h:
             raise ValueError(f"t={tv} outside the tilted-measure grid [0, {grid.t_max}]")
@@ -148,9 +143,7 @@ def theorem_rhs(
             cross = float(cross_terms[:n].sum())
             values.append(AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal))
         per_box.append(values)
-    results = [[values[i] for values in per_box] for i in range(len(ts))]
-    results = [per_t[0] for per_t in results] if isinstance(box, Box2) else results
-    return results[0] if np.ndim(t) == 0 else results
+    return [[values[i] for values in per_box] for i in range(len(ts))]
 
 
 def net_loss_window_shift(box: Box2, premium_rates: tuple[float, float], r: float, t: float) -> Box2:

@@ -228,6 +228,7 @@ QUADRATURE = ("renewal", "asymptotic", "compare", "copula-check", "verify-condit
 #: the experiments that tilt the renewal measure by the weights h_i and g,
 #: which must stay positive; nested-frank-product at gamma = 1 has g(0) = 0
 TILTING = ("renewal", "asymptotic", "compare")
+LN_DBL_MAX = math.log(sys.float_info.max)  #: e^x overflows a double past it
 
 
 def _grids(doc: dict, experiment: str, t_max: float) -> dict:
@@ -335,6 +336,10 @@ def parse_config(doc: dict, experiment: str | None = None, seed: int | None = No
               file=sys.stderr)
     t_max = model.t_max if model is not None else math.inf
     grids = _grids(doc, experiment, t_max)
+    # theorem_rhs scales each window by e^(r u) for u up to the largest horizon
+    if experiment in ("asymptotic", "compare") and model.r * max(grids["t_grid"]) > LN_DBL_MAX:
+        raise ConfigError(f"config.model.r: {experiment} needs e^(r*t) to fit a double, r * max(t_grid) "
+                          f"<= {LN_DBL_MAX:.2f}, got {model.r * max(grids['t_grid'])}")
     renewal_step = _num(doc, "renewal_step", "config", required=False, default=t_max / 2000)
     if not 0 < renewal_step <= t_max / 10:
         raise ConfigError(f"config.renewal_step: must lie in (0, t_max/10={t_max / 10}], got {renewal_step}")

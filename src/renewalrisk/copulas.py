@@ -719,7 +719,6 @@ def mean_h_check(spec: DependenceSpec, i: int) -> float:
     """
     nodes, weights = np.polynomial.legendre.leggauss(200)
     p = 0.5 * (nodes + 1.0)
-    with np.errstate(over="ignore"):
-        s = spec.g_dist.quantile(np.minimum(p, 1.0 - 1e-14))
+    s = spec.g_dist.quantile(np.minimum(p, 1.0 - 1e-14))
     vals = np.asarray(spec.h_func(i, s), dtype=float)
     return float(np.sum(vals * weights) * 0.5)

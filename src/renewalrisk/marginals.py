@@ -77,7 +77,8 @@ class _CumulativeHazard(Marginal):
         p = self._check_p(p)
         y = np.negative(p, out=np.empty(p.shape))
         np.log1p(y, out=y)
-        return self._inv_hazard(np.negative(y, out=y))[()]
+        with np.errstate(over="ignore"):  # a quantile past the double range reads inf
+            return self._inv_hazard(np.negative(y, out=y))[()]
 
 
 @dataclass(frozen=True)

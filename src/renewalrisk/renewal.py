@@ -176,16 +176,13 @@ def renewal_function(g: Marginal, t_max: float, h: float) -> RenewalGrid:
     return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_increments=dg)
 
 
-def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure | list[TiltedMeasure]:
-    """Increments of lambda~(t) = int (1 + lambda(t-u)) w(u) G(du).
+def tilted_measure(grid: RenewalGrid, weights) -> list[TiltedMeasure]:
+    """Increments of lambda~(t) = int (1 + lambda(t-u)) w(u) G(du), one measure per weight w.
 
-    ``weight`` is a vectorized function of u on [0, t_max]; it must be
-    positive there.  With w == 1 the cumulative measure reproduces the
-    renewal function exactly on the grid, by construction of the solver.
-
-    ``weight`` may also be a sequence of such functions; the result is
-    then a list with one measure per weight, each equal to what a call
-    with that weight alone returns, from one transform of 1 + lambda.
+    Each of ``weights`` is a vectorized function of u on [0, t_max]; it
+    must be positive there.  With w == 1 the cumulative measure
+    reproduces the renewal function exactly on the grid, by construction
+    of the solver.  All measures come from one transform of 1 + lambda.
     """
     lam, dg, t = grid.lambda_values, grid.g_increments, grid.times
     k_max = len(lam) - 1
@@ -194,7 +191,7 @@ def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure | list[TiltedMeas
     # lam_{k-j+1}: values[k] = sum_{i<k} a[i]*(1+lam[k-1-i]) + b[i]*(1+lam[k-i]);
     # with e[j] = a[j-1] + b[j] that is (e * (1+lam))[k] - b[k], as lam[0] = 0
     bs, es = [], []
-    for wf in [weight] if callable(weight) else weight:
+    for wf in weights:
         w = np.broadcast_to(np.asarray(wf(t), dtype=float), t.shape)
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("tilting weight must be positive and finite on the grid")
@@ -210,7 +207,7 @@ def tilted_measure(grid: RenewalGrid, weight) -> TiltedMeasure | list[TiltedMeas
         values[0] = 0.0
         values[1:] -= values[:-1].copy()  # increments, in place
         measures.append(TiltedMeasure(grid=grid, increments=values))
-    return measures[0] if callable(weight) else measures
+    return measures
 
 
 def tilted_triplet(grid: RenewalGrid, dep) -> tuple[TiltedMeasure, TiltedMeasure, TiltedMeasure]:

@@ -63,17 +63,17 @@ def test_criterion_1_renewal_solver():
 def test_criterion_2_tilted_measures():
     dep = FrankTri(PARETO1, PARETO1, EXP1, 1.0)
     grid = renewal_function(EXP1, 2.0, 1e-3)
-    unit = tilted_measure(grid, lambda u: np.ones_like(u))
+    (unit,) = tilted_measure(grid, [lambda u: np.ones_like(u)])
     unit_err = float(np.max(np.abs(unit.values - grid.lambda_values)))
 
     rep = bounds_over_horizon(dep, 2.0)
     lam = grid.lambda_values[1:]  # ratios at t > 0
     in_b = in_d = True
     for i in (1, 2):
-        ti = tilted_measure(grid, lambda u, i=i: np.asarray(dep.h_func(i, u)) * np.ones_like(u))
+        (ti,) = tilted_measure(grid, [lambda u, i=i: np.asarray(dep.h_func(i, u)) * np.ones_like(u)])
         ratio = ti.values[1:] / lam
         in_b &= bool(np.all((ratio >= rep.b_lower - 1e-9) & (ratio <= rep.b_upper + 1e-9)))
-    tj = tilted_measure(grid, lambda u: np.asarray(dep.g_func(u)) * np.ones_like(u))
+    (tj,) = tilted_measure(grid, [lambda u: np.asarray(dep.g_func(u)) * np.ones_like(u)])
     ratio_j = tj.values[1:] / lam
     in_d = bool(np.all((ratio_j >= rep.d_lower - 1e-9) & (ratio_j <= rep.d_upper + 1e-9)))
 
@@ -188,10 +188,10 @@ def test_criterion_6_poisson_oracle():
     box = Box2(20.0, 20.0, 5.0, 5.0)
     p = local_prob(PARETO1, box.window1)
     grid = renewal_function(EXP1, 2.0, 1e-3)
-    unit = tilted_measure(grid, lambda u: np.ones_like(u))
+    (unit,) = tilted_measure(grid, [lambda u: np.ones_like(u)])
     quad_dev = 0.0
     for t in (0.5, 1.0, 2.0):
-        val = theorem_rhs(PARETO1, PARETO1, box, 0.0, t, unit, unit, unit).total
+        val = theorem_rhs(PARETO1, PARETO1, [box], 0.0, [t], unit, unit, unit)[0][0].total
         oracle = p * p * (t * t + t)
         quad_dev = max(quad_dev, abs(val / oracle - 1.0))
     quad_ok = quad_dev <= 0.005
@@ -261,7 +261,7 @@ def test_criterion_7_main_theorem_trend():
         for i, t in enumerate(t_grid):
             est = int(hits[i, j]) / 1e8
             se = math.sqrt(est * (1 - est) / 1e8)
-            asym = theorem_rhs(PARETO1, PARETO1, box, 0.05, t, t1, t2, tj).total
+            asym = theorem_rhs(PARETO1, PARETO1, [box], 0.05, [t], t1, t2, tj)[0][0].total
             # CI accounting: deviation net of 1.96 se cannot be blamed on MC
             dev = max(abs(est / asym - 1.0) - 1.96 * se / asym, 0.0)
             worst = max(worst, dev)

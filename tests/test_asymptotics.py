@@ -16,9 +16,12 @@ from renewalrisk.renewal import renewal_function, tilted_measure, tilted_triplet
 
 def poisson_tilted(t_max=3.0, h=1e-3):
     grid = renewal_function(Exponential(1.0), t_max, h)
-    unit = lambda u: np.ones_like(u)
-    tm = tilted_measure(grid, unit)
+    (tm,) = tilted_measure(grid, [lambda u: np.ones_like(u)])
     return tm, tm, tm
+
+
+def _rhs(f1, f2, box, r, t, *tms):
+    return theorem_rhs(f1, f2, [box], r, [t], *tms)[0][0]
 
 
 def _direct_theorem_rhs(f1, f2, box, r, t, tilted_1, tilted_2, tilted_joint):
@@ -68,7 +71,7 @@ def test_poisson_unit_closed_form():
     p1 = local_prob(f, box.window1)
     p2 = local_prob(f, box.window2)
     for t in (0.5, 1.0, 2.0):
-        val = theorem_rhs(f, f, box, 0.0, t, t1, t2, tj)
+        val = _rhs(f, f, box, 0.0, t, t1, t2, tj)
         exact = p1 * p2 * (t * t + t)
         assert val.total == pytest.approx(exact, rel=5e-3)
         assert val.cross_term == pytest.approx(p1 * p2 * t * t, rel=5e-3)
@@ -79,7 +82,7 @@ def test_monotone_in_t_and_zero_at_origin():
     f = Pareto(1.0)
     box = Box2(10.0, 10.0, 2.0, 2.0)
     t1, t2, tj = poisson_tilted()
-    vals = [theorem_rhs(f, f, box, 0.05, t, t1, t2, tj).total for t in (0.0, 0.5, 1.0, 2.0, 3.0)]
+    vals = [_rhs(f, f, box, 0.05, t, t1, t2, tj).total for t in (0.0, 0.5, 1.0, 2.0, 3.0)]
     assert vals[0] == 0.0
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -89,8 +92,8 @@ def test_step_halving_consistency():
     box = Box2(10.0, 10.0, 2.0, 2.0)
     coarse = poisson_tilted(h=2e-3)
     fine = poisson_tilted(h=1e-3)
-    a = theorem_rhs(f, f, box, 0.05, 2.0, *coarse).total
-    b = theorem_rhs(f, f, box, 0.05, 2.0, *fine).total
+    a = _rhs(f, f, box, 0.05, 2.0, *coarse).total
+    b = _rhs(f, f, box, 0.05, 2.0, *fine).total
     assert a == pytest.approx(b, rel=2e-3)
 
 
@@ -99,8 +102,8 @@ def test_discount_reduces_probability():
     f = Pareto(1.0)
     box = Box2(10.0, 10.0, 2.0, 2.0)
     t1, t2, tj = poisson_tilted()
-    v0 = theorem_rhs(f, f, box, 0.0, 2.0, t1, t2, tj).total
-    v5 = theorem_rhs(f, f, box, 0.5, 2.0, t1, t2, tj).total
+    v0 = _rhs(f, f, box, 0.0, 2.0, t1, t2, tj).total
+    v5 = _rhs(f, f, box, 0.5, 2.0, t1, t2, tj).total
     assert v5 < v0
 
 
@@ -108,9 +111,9 @@ def test_t_outside_grid_raises():
     f = Pareto(1.0)
     box = Box2(10.0, 10.0, 2.0, 2.0)
     t1, t2, tj = poisson_tilted(t_max=1.0, h=1e-3)
-    for t in (2.0, [0.5, 2.0, 1.0], [0.5, -0.1]):
+    for ts in ([2.0], [0.5, 2.0, 1.0], [0.5, -0.1]):
         with pytest.raises(ValueError):
-            theorem_rhs(f, f, box, 0.0, t, t1, t2, tj)
+            theorem_rhs(f, f, [box], 0.0, ts, t1, t2, tj)
 
 
 def test_mismatched_grids_raise():
@@ -119,7 +122,7 @@ def test_mismatched_grids_raise():
     a = poisson_tilted(h=1e-3)[0]
     b = poisson_tilted(h=2e-3)[0]
     with pytest.raises(ValueError):
-        theorem_rhs(f, f, box, 0.0, 1.0, a, b, a)
+        _rhs(f, f, box, 0.0, 1.0, a, b, a)
 
 
 def test_net_loss_shift_r_zero():
@@ -153,22 +156,23 @@ def test_theorem_rhs_matches_direct_convolution(x):
     tms = tilted_triplet(grid, FrankTri(f1, f2, Exponential(1.0), 1.0))
     box = Box2(x, x, 5.0, 5.0)
     for t in (0.5, 1.0, 1.5, 2.0):
-        val = theorem_rhs(f1, f2, box, 0.05, t, *tms)
+        val = _rhs(f1, f2, box, 0.05, t, *tms)
         _assert_values_close(val, _direct_theorem_rhs(f1, f2, box, 0.05, t, *tms), rel=1e-12)
 
 
 def test_theorem_rhs_t_sequence_matches_scalar_calls():
-    # one pass up to the largest t serves a t list in any order with repeats;
-    # 0.73215 / h ends in .5 and 1.23452 / h in .2, the two s_cap boundary rules
+    # one pass up to the largest t serves a t list in any order with repeats,
+    # each horizon equal to a one-horizon call; 0.73215 / h ends in .5 and
+    # 1.23452 / h in .2, the two s_cap boundary rules
     f1, f2 = Pareto(1.0), Pareto(2.0)
     grid = renewal_function(Exponential(1.0), 2.0, 1e-4)  # K = 2e4 cells
     tms = tilted_triplet(grid, FrankTri(f1, f2, Exponential(1.0), 1.0))
     box = Box2(20.0, 20.0, 5.0, 5.0)
     ts = [1.23452, 0.0, 0.73215, 2.00004, 0.73215, 1e-5, 0.5]
-    vals = theorem_rhs(f1, f2, box, 0.05, ts, *tms)
-    assert isinstance(vals, list) and len(vals) == len(ts)
+    vals = [per_t[0] for per_t in theorem_rhs(f1, f2, [box], 0.05, ts, *tms)]
+    assert len(vals) == len(ts)
     for t, val in zip(ts, vals):
-        _assert_values_close(val, theorem_rhs(f1, f2, box, 0.05, t, *tms), rel=1e-13)
+        _assert_values_close(val, _rhs(f1, f2, box, 0.05, t, *tms), rel=1e-13)
         _assert_values_close(val, _direct_theorem_rhs(f1, f2, box, 0.05, t, *tms), rel=1e-12)
     assert vals[1] == AsymptoticValue(0.0, 0.0, 0.0)
     assert vals[2] == vals[4]
@@ -176,7 +180,7 @@ def test_theorem_rhs_t_sequence_matches_scalar_calls():
 
 def test_theorem_rhs_box_sequence_matches_single_boxes():
     # one pass shares the tilted measures' transforms across boxes; each box's
-    # values equal a call with that box alone, for a scalar t and a t list
+    # values equal a call with that box alone, for one horizon and a t list
     f1, f2 = Pareto(1.0), Pareto(2.0)
     grid = renewal_function(Exponential(1.0), 2.0, 1e-4)
     tms = tilted_triplet(grid, FrankTri(f1, f2, Exponential(1.0), 1.0))
@@ -188,13 +192,12 @@ def test_theorem_rhs_box_sequence_matches_single_boxes():
     for t, vals in zip(ts, per_t):
         assert isinstance(vals, list) and len(vals) == len(boxes)
         for box, val in zip(boxes, vals):
-            _assert_values_close(val, theorem_rhs(f1, f2, box, 0.05, t, *tms), rel=1e-13)
+            _assert_values_close(val, _rhs(f1, f2, box, 0.05, t, *tms), rel=1e-13)
         assert vals[0] == vals[3]
     assert per_t[1] == [AsymptoticValue(0.0, 0.0, 0.0)] * len(boxes)
-    at_one_t = theorem_rhs(f1, f2, boxes, 0.05, 2.0, *tms)
-    assert at_one_t == per_t[3]
+    assert theorem_rhs(f1, f2, boxes, 0.05, [2.0], *tms) == [per_t[3]]
     with pytest.raises(ValueError):
-        theorem_rhs(f1, f2, boxes, 0.05, 2.5, *tms)
+        theorem_rhs(f1, f2, boxes, 0.05, [2.5], *tms)
 
 
 def test_theorem_rhs_calls_no_blas(monkeypatch):
@@ -208,7 +211,7 @@ def test_theorem_rhs_calls_no_blas(monkeypatch):
     for name in ("dot", "vdot", "inner"):
         monkeypatch.setattr(np, name, no_blas)
     box = Box2(10.0, 10.0, 5.0, 5.0)
-    top = theorem_rhs(f, f, box, 0.05, 2.0, *tms)
-    vals = theorem_rhs(f, f, box, 0.05, [0.5, 1.0, 1.5, 2.0], *tms)
+    top = _rhs(f, f, box, 0.05, 2.0, *tms)
+    vals = [per_t[0] for per_t in theorem_rhs(f, f, [box], 0.05, [0.5, 1.0, 1.5, 2.0], *tms)]
     assert all(a.total < b.total for a, b in zip(vals, vals[1:]))
     assert vals[-1].total == pytest.approx(top.total, rel=1e-13)

@@ -368,6 +368,10 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
         ("simulate", {"model": {"premiums": [{"kind": "linear", "rate": 0.0, "jump": 1.0},
                                              {"kind": "linear", "rate": 0.0}]}},
          "config.model.premiums[0].jump", ()),
+        # theorem_rhs scales windows by e^(r t), which overflows past r t = 709.78: this
+        # exited 3 after the renewal solve; r * max(t_grid) = 710 here
+        ("asymptotic", {"model": {"r": 710.0}}, "config.model.r", ()),
+        ("compare", {"model": {"r": 710.0}}, "config.model.r", ()),
     ],
     ids=["lemma33-n", "n-paths-zero", "box-width", "seed-negative", "seed-too-large",
          "n-boxes-zero", "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large",
@@ -385,7 +389,7 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
          "experiment-not-string", "output-path-not-string",
          "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative",
          "unknown-top-level", "unknown-model", "unknown-grids", "unknown-box", "unknown-marginal",
-         "unknown-dependence", "unknown-premium"],
+         "unknown-dependence", "unknown-premium", "r-t-overflow-asymptotic", "r-t-overflow-compare"],
 )
 def test_config_contract_exit_2(tmp_path, experiment, change, path, args):
     doc = make_doc(experiment)
@@ -421,6 +425,40 @@ def test_deterministic_g_accepted(tmp_path, experiment, dependence):
     res = run_cli(tmp_path, doc)
     assert res.returncode == 0, res.stderr
     assert len(res.stdout.splitlines()) > 1
+
+
+@pytest.mark.parametrize(
+    "experiment, r, t_grid",
+    [("asymptotic", 350.0, [2.0]), ("simulate", 355.0, [0.5, 2.0])],
+    ids=["asymptotic-r350-t2", "simulate-r355-t2"],
+)
+def test_r_t_below_overflow_accepted(tmp_path, experiment, r, t_grid):
+    # e^(r t) fits a double up to r t = 709.78; simulate never forms it
+    doc = make_doc(experiment, n_paths=1000)
+    doc["model"]["r"] = r
+    doc["grids"]["t_grid"] = t_grid
+    res = run_cli(tmp_path, doc)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    assert len(res.stdout.splitlines()) == 1 + 2 * len(t_grid)
+
+
+def test_simulate_quantile_past_double_range_quiet(tmp_path):
+    # G = Pareto(0.01) puts its top quantiles past the double range: they read inf
+    # (no arrival before any horizon), with no numpy overflow warning on stderr
+    doc = make_doc("simulate")
+    doc["model"]["g"] = {"family": "pareto", "alpha": 0.01}
+    doc["grids"]["x_grid"] = [0.0, 5.0]
+    res = run_cli(tmp_path, doc)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    assert res.stdout == (
+        "t,x1,x2,d1,d2,r,asymptotic_total,cross_term,diagonal_term,empirical,empirical_se,ratio\n"
+        "0.5,0.0,0.0,5.0,5.0,0.05,,,,0.00286,0.00023882296371999072,\n"
+        "1.0,0.0,0.0,5.0,5.0,0.05,,,,0.00562,0.0003343176812554191,\n"
+        "0.5,5.0,5.0,5.0,5.0,0.05,,,,0.0,0.0,\n"
+        "1.0,5.0,5.0,5.0,5.0,0.05,,,,0.0,0.0,\n"
+    )
 
 
 def test_nested_gamma_one_warns(tmp_path):

@@ -35,14 +35,20 @@ def test_benchmark_traced_names_exist():
         import numpy as np
         import renewalrisk.cli
         import tracer
-        from renewalrisk.marginals import Marginal, Pareto
+        from renewalrisk.copulas import FrankTri, Independent, NestedFrankProduct, SarmanovFGM
+        from renewalrisk.marginals import Exponential, Marginal, Pareto
         rec = tracer.Recorder()
         absent = tracer.install(rec)
         wrapped = [c for c in tracer._subclasses(Marginal) if hasattr(vars(c).get("quantile"), "__wrapped__")]
         params = {{c.__name__: list(inspect.signature(vars(c)["quantile"].__wrapped__).parameters) for c in wrapped}}
         Pareto(1.0).quantile(np.full(3, 0.5))
         count = tracer.summarize(rec.dump())["marginals.quantile"]["count"]
-        print(json.dumps({{"absent": absent, "params": params, "count": count}}))
+        f, g = Pareto(1.0), Exponential(1.0)
+        for spec in (Independent(f, f, g), SarmanovFGM(f, f, g, 0.3, 0.2, 0.1), FrankTri(f, f, g, 1.0),
+                     NestedFrankProduct(f, f, g, 0.5)):
+            spec.sample_theta(np.random.default_rng(0), 5)
+        samples = tracer.summarize(rec.dump())["copulas.sample"]["count"]
+        print(json.dumps({{"absent": absent, "params": params, "count": count, "samples": samples}}))
     """)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
@@ -51,3 +57,5 @@ def test_benchmark_traced_names_exist():
     assert {"Deterministic", "CounterexampleF"} < set(out["params"])
     assert all(params[1:2] == ["p"] for params in out["params"].values()), out["params"]
     assert out["count"] == 3
+    # sample_theta reaches a traced sample_uniform in each of the four families: 4 x 5 draws
+    assert out["samples"] == 20

@@ -140,6 +140,16 @@ def test_quantile_rejects_bad_p():
         Exponential(1.0).quantile(-0.01)
 
 
+@pytest.mark.parametrize("dist", [Pareto(0.01), Weibull(0.005), Exponential(1e-308)], ids=str)
+def test_quantile_past_double_range_reads_inf(dist):
+    # the top quantile overflows in expm1, power or divide; inf lands past every
+    # horizon and outside every finite box, so it is returned without a warning
+    p = np.array([0.5, 1.0 - 2.0**-53])
+    x = dist.quantile(p)
+    assert math.isfinite(x[0]) and x[1] == math.inf
+    assert dist.quantile(1.0 - 2.0**-53) == math.inf
+
+
 @pytest.mark.parametrize(
     "dist",
     [Pareto(1.0), Exponential(1.0), Weibull(0.5), CounterexampleF(n_max=3), Deterministic(1.5)],

@@ -133,7 +133,7 @@ def test_renewal_against_mc():
 
 def test_unit_tilt_recovers_renewal_function():
     grid = renewal_function(Exponential(1.0), 3.0, 1e-3)
-    tm = tilted_measure(grid, lambda u: np.ones_like(u))
+    (tm,) = tilted_measure(grid, [lambda u: np.ones_like(u)])
     assert np.max(np.abs(tm.values - grid.lambda_values)) <= 1e-6
 
 
@@ -141,8 +141,7 @@ def test_tilted_measure_weight_bounds():
     # a weight in [lo, hi] pins the tilted measure between scaled copies
     grid = renewal_function(Exponential(1.0), 2.0, 1e-3)
     w = lambda u: 1.0 + 0.5 * np.sin(u)
-    tm = tilted_measure(grid, w)
-    unit = tilted_measure(grid, lambda u: np.ones_like(u))
+    tm, unit = tilted_measure(grid, [w, lambda u: np.ones_like(u)])
     assert np.all(tm.values <= 1.5 * unit.values + 1e-12)
     assert np.all(tm.values >= 0.5 * unit.values - 1e-12)
     assert np.all(tm.increments >= -1e-15)
@@ -151,7 +150,7 @@ def test_tilted_measure_weight_bounds():
 def test_tilted_measure_rejects_bad_weight():
     grid = renewal_function(Exponential(1.0), 2.0, 0.01)
     with pytest.raises(ValueError):
-        tilted_measure(grid, lambda u: np.where(u > 1.0, -1.0, 1.0))
+        tilted_measure(grid, [lambda u: np.where(u > 1.0, -1.0, 1.0)])
 
 
 def test_exp_moment_poisson_oracle():
@@ -268,7 +267,7 @@ def test_tilted_measure_weight_sequence_matches_single_calls(g):
     many = tilted_measure(grid, weights)
     assert isinstance(many, list) and len(many) == len(weights)
     for tm, weight in zip(many, weights):
-        one = tilted_measure(grid, weight)
+        (one,) = tilted_measure(grid, [weight])
         assert one.grid is tm.grid is grid
         assert tm.increments == pytest.approx(one.increments, rel=1e-13, abs=0)
         assert np.array_equal(tm.values == 0.0, one.values == 0.0)
