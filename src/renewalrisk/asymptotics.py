@@ -21,7 +21,12 @@ its cross and diagonal terms as sums over prefixes.  A pass takes a
 whole sequence of boxes: the cell midpoints, the tau grid and the
 transforms of the two singly-tilted measures' increments are shared, so
 each further box costs four scaled window probabilities over the grid
-and two forward-inverse transform pairs.  Those sums
+and two forward-inverse transform pairs.  The boxes are streamed: each
+box's windows, diagonal sums, convolutions and tau-weighted prefix sums
+are done and freed before the next box starts.  A pass over K cells
+therefore peaks at about 12 arrays of K floats beyond its inputs (the
+midpoints, the tau grid, the two transforms, one box's two operands
+and one transform pair), whatever the box count.  Those sums
 are numpy's pairwise ``.sum()``, not ``np.dot``: numpy hands a float dot
 to BLAS, and a threaded BLAS splits a long 1-D dot across cores, where
 it stalls for milliseconds whenever another process holds one of them.
@@ -117,32 +122,38 @@ def theorem_rhs(
     inc2 = tilted_2.increments[1 : k_max + 1]
     incj = tilted_joint.increments[1 : k_max + 1]
     mids = h * (np.arange(1, k_max + 1) - 0.5)
-    # pairwise .sum(), not np.dot: see the module docstring on BLAS.  Per box,
-    # the diagonal sums first; each midpoint window probability then becomes,
-    # in place, the weighted increments the cross term convolves
-    diagonals, p1_incs, p2_incs = [], [], []
-    for b in boxes:
+    tau = h * np.arange(1, n_max + 1)  # u + v for s = 2..s_cap
+    # one operand slot per side: a box puts its weighted windows in, and the
+    # side's next head takes them out, so inc1 and inc2 are transformed once
+    # and only one box's arrays exist at a time
+    slot_1, slot_2 = [], []
+    heads_1 = _conv_heads(inc1, (slot_2.pop() for _ in boxes), n_max)
+    heads_2 = _conv_heads(inc2, (slot_1.pop() for _ in boxes), n_max)
+
+    def box_values(b: Box2) -> list[AsymptoticValue]:
+        # pairwise .sum(), not np.dot: see the module docstring on BLAS.  The
+        # diagonal sums first; each midpoint window probability then becomes,
+        # in place, the weighted increments the cross term convolves
         p1_mid = scaled_local_prob(f1, b.window1, r, mids)
         p2_mid = scaled_local_prob(f2, b.window2, r, mids)
-        diag_terms = p1_mid * p2_mid * incj
-        diagonals.append([float(diag_terms[:k].sum()) for k in k_ts])
+        diag_terms = p1_mid * p2_mid
+        diag_terms *= incj
+        diagonals = [float(diag_terms[:k].sum()) for k in k_ts]
+        del diag_terms
         p1_mid *= inc1
         p2_mid *= inc2
-        p1_incs.append(p1_mid)
-        p2_incs.append(p2_mid)
-    conv_as = _conv_heads(inc1, p2_incs, n_max)
-    conv_bs = _conv_heads(inc2, p1_incs, n_max)
-
-    tau = h * np.arange(1, n_max + 1)  # u + v for s = 2..s_cap
-    per_box = []
-    for b, diagonal_sums, cross_terms, conv_b in zip(boxes, diagonals, conv_as, conv_bs):
+        slot_1.append(p1_mid)
+        slot_2.append(p2_mid)
+        cross_terms = next(heads_1)
         cross_terms *= scaled_local_prob(f1, b.window1, r, tau)
-        cross_terms += scaled_local_prob(f2, b.window2, r, tau) * conv_b
-        values = []
-        for diagonal, n in zip(diagonal_sums, n_cross):
-            cross = float(cross_terms[:n].sum())
-            values.append(AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal))
-        per_box.append(values)
+        conv_2 = next(heads_2)
+        conv_2 *= scaled_local_prob(f2, b.window2, r, tau)
+        cross_terms += conv_2
+        crosses = [float(cross_terms[:n].sum()) for n in n_cross]
+        return [AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal)
+                for cross, diagonal in zip(crosses, diagonals)]
+
+    per_box = [box_values(b) for b in boxes]
     return [[values[i] for values in per_box] for i in range(len(ts))]
 
 

@@ -343,6 +343,10 @@ def parse_config(doc: dict, experiment: str | None = None, seed: int | None = No
     renewal_step = _num(doc, "renewal_step", "config", required=False, default=t_max / 2000)
     if not 0 < renewal_step <= t_max / 10:
         raise ConfigError(f"config.renewal_step: must lie in (0, t_max/10={t_max / 10}], got {renewal_step}")
+    # theorem_rhs integrates over round(t / renewal_step) cells: a shorter horizon gets none or one
+    if experiment in ("asymptotic", "compare") and min(grids["t_grid"]) < renewal_step:
+        raise ConfigError(f"config.grids.t_grid: {experiment} needs every horizon >= renewal_step "
+                          f"= {renewal_step}, got {min(grids['t_grid'])}")
     output_path = _get(doc, "output_path", "config", required=False, default="-")
     if not isinstance(output_path, str):
         raise ConfigError(f"config.output_path: expected a string, got {output_path!r}")

@@ -163,8 +163,8 @@ def local_prob(dist: Marginal, w: LocalWindow):
     return dist.sf(w.x) - dist.sf(w.x + w.d)
 
 
-def scaled_local_prob(dist: Marginal, w: LocalWindow, r: float, u) -> float:
-    """P(X e^{-r u} in (x, x+d]) = F((x+d) e^{r u}) - F(x e^{r u})."""
+def scaled_local_prob(dist: Marginal, w: LocalWindow, r: float, u) -> float | np.ndarray:
+    """P(X e^{-r u} in (x, x+d]) = F((x+d) e^{r u}) - F(x e^{r u}): a float for scalar u, else an array of u's shape."""
     if r < 0:
         raise ValueError("force of interest r must be >= 0")
     u = np.asarray(u, dtype=float)
@@ -175,4 +175,12 @@ def scaled_local_prob(dist: Marginal, w: LocalWindow, r: float, u) -> float:
             scale = np.exp(r * u)
         except FloatingPointError as exc:
             raise OverflowError(f"e^(r*u) overflows for r={r}") from exc
-    return (np.asarray(dist.sf(w.x * scale)) - dist.sf((w.x + w.d) * scale))[()]
+    # one end at a time, each freed once read, so at most four arrays of u's
+    # shape are alive at once
+    low_end = w.x * scale
+    scale *= w.x + w.d  # now the upper end
+    sf_low = np.asarray(dist.sf(low_end))
+    del low_end
+    sf_high = dist.sf(scale)
+    del scale
+    return (sf_low - sf_high)[()]

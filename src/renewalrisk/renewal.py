@@ -91,52 +91,61 @@ def _first_nonzero(x: np.ndarray, n: int) -> int:
     return int(nonzero.argmax()) if nonzero.any() else n
 
 
-def _conv_heads(a: np.ndarray, bs, n: int) -> list[np.ndarray]:
-    """First n terms of the linear convolution a * b for each b in ``bs``, by real FFTs.
+def _conv_heads(a: np.ndarray, bs, n: int):
+    """First n terms of the linear convolution a * b for each b of the iterable ``bs``, by real FFTs.
 
-    Each b holds at least n entries and is consumed: the head of a * b
-    is written over b[:n], which is returned, so the heads take no
-    memory beyond their operands.  Leading zeros of a and of each b are
-    split off, so a head that is exactly zero (no renewal before the
-    support of G starts) stays exactly zero instead of carrying FFT
-    rounding.  a is transformed once for all of ``bs``, at one 5-smooth
-    length that holds the rest of every convolution, so nothing wraps.
+    Returns a lazy iterator: it reads each b from ``bs`` only when its
+    head is asked for and keeps no reference to it afterwards, so a
+    caller that builds its operands one at a time holds one operand at
+    a time.  Each b holds at least n entries and is consumed: the head
+    of a * b is written over b[:n], which is returned, so the heads take
+    no memory beyond their operands.  a is transformed once, here, for
+    all of ``bs``, at one 5-smooth length L < 4n that holds a * b
+    whatever b's leading zeros, so nothing wraps.  Beyond the operands
+    the iterator holds a's transform, about L/2 complex entries, and
+    each head adds b's transform and its inverse while it is computed.
+    Leading zeros of a and of each b are split off, so a head that is
+    exactly zero (no renewal before the support of G starts) stays
+    exactly zero instead of carrying FFT rounding.
     """
     za = _first_nonzero(a, n)
-    zbs = [_first_nonzero(b, n - za) for b in bs]
-    zb_min = min(zbs, default=n)
-    if za + zb_min < n:
-        a = a[za : n - zb_min]
-        size = _smooth_size(len(a) + n - za - zb_min - 1)
-        fa = np.fft.rfft(a, size)
-    heads = []
-    for b, zb in zip(bs, zbs):
+    if za < n:
+        size = _smooth_size(2 * (n - za) - 1)
+        fa = np.fft.rfft(a[za:n], size)
+
+    def head(b):
+        zb = _first_nonzero(b, n - za)
         lo = min(za + zb, n)
         if lo < n:
             fb = np.fft.rfft(b[zb : n - za], size)
             fb *= fa
             b[lo:n] = np.fft.irfft(fb, size)[: n - lo]
         b[:lo] = 0.0
-        heads.append(b[:n])
-    return heads
+        return b[:n]
+
+    return map(head, bs)
 
 
 def _series_reciprocal(q: np.ndarray, n: int) -> np.ndarray:
     """First n coefficients of 1/q(z), q[0] != 0, by Newton doubling.
 
     With b = 1/q mod z^l, q b = 1 + z^l e, and b(2 - q b) = b - z^l b e
-    is 1/q mod z^2l; only the new half of b is computed each step.  Both
+    is 1/q mod z^2l; only the new half of b is computed each step, into
+    one preallocated array of n coefficients.  Both
     products use one transform of b at a 5-smooth length L >= m = 2l:
     the terms of q b past L wrap onto indices below l, which e does not
     read, and b e has fewer than L terms.
     """
-    b = np.array([1.0 / q[0]])
-    while len(b) < n:
-        l, m = len(b), min(2 * len(b), n)
+    b = np.empty(n)
+    b[0] = 1.0 / q[0]
+    l = 1
+    while l < n:
+        m = min(2 * l, n)
         size = _smooth_size(m)
-        fb = np.fft.rfft(b, size)
+        fb = np.fft.rfft(b[:l], size)
         e = np.fft.irfft(np.fft.rfft(q[:m], size) * fb, size)[l:m]
-        b = np.concatenate([b, -np.fft.irfft(np.fft.rfft(e, size) * fb, size)[: m - l]])
+        b[l:m] = -np.fft.irfft(np.fft.rfft(e, size) * fb, size)[: m - l]
+        l = m
     return b
 
 
@@ -167,12 +176,18 @@ def renewal_function(g: Marginal, t_max: float, h: float) -> RenewalGrid:
         lam = np.floor(h * np.arange(k_max + 1) / g.value + 1e-12)
         return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_increments=dg)
 
-    cdf = np.concatenate([[0.0], np.cumsum(dg)])
-    # c[j] = dG_j + dG_{j+1} pairs lambda_{k-j} with both trapezoid halves
-    c = dg.copy()
-    c[:-1] += dg[1:]
-    q = np.concatenate([[1.0 - 0.5 * dg[0]], -0.5 * c])
-    lam = _conv_heads(cdf, [_series_reciprocal(q, k_max + 1)], k_max + 1)[0]
+    n = k_max + 1
+    cdf = np.empty(n)
+    cdf[0] = 0.0
+    np.cumsum(dg, out=cdf[1:])
+    # q = pivot, then -c/2, where c[j] = dG_j + dG_{j+1} pairs lambda_{k-j}
+    # with both trapezoid halves
+    q = np.empty(n)
+    q[0] = 1.0 - 0.5 * dg[0]
+    q[1:] = dg
+    q[1:-1] += dg[1:]
+    q[1:] *= -0.5
+    lam = next(_conv_heads(cdf, [_series_reciprocal(q, n)], n))
     return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_increments=dg)
 
 
@@ -182,7 +197,10 @@ def tilted_measure(grid: RenewalGrid, weights) -> list[TiltedMeasure]:
     Each of ``weights`` is a vectorized function of u on [0, t_max]; it
     must be positive there.  With w == 1 the cumulative measure
     reproduces the renewal function exactly on the grid, by construction
-    of the solver.  All measures come from one transform of 1 + lambda.
+    of the solver.  All measures come from one transform of 1 + lambda,
+    and each weight's arrays are built, convolved and finished before
+    the next weight's exist, so the working memory beyond the returned
+    measures does not grow with the number of weights.
     """
     lam, dg, t = grid.lambda_values, grid.g_increments, grid.times
     k_max = len(lam) - 1
@@ -190,7 +208,9 @@ def tilted_measure(grid: RenewalGrid, weights) -> list[TiltedMeasure]:
     # with a = w[1:] dG / 2 pairing lam_{k-j} and b = w[:-1] dG / 2 pairing
     # lam_{k-j+1}: values[k] = sum_{i<k} a[i]*(1+lam[k-1-i]) + b[i]*(1+lam[k-i]);
     # with e[j] = a[j-1] + b[j] that is (e * (1+lam))[k] - b[k], as lam[0] = 0
-    bs, es = [], []
+    measures = []
+    slot = []  # the weight's e, taken out by the next head
+    heads = _conv_heads(1.0 + lam, (slot.pop() for _ in weights), k_max + 1)
     for wf in weights:
         w = np.broadcast_to(np.asarray(wf(t), dtype=float), t.shape)
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
@@ -199,10 +219,9 @@ def tilted_measure(grid: RenewalGrid, weights) -> list[TiltedMeasure]:
         e = np.zeros(k_max + 1)
         e[1:] += 0.5 * w[1:] * dg
         e[:-1] += b
-        bs.append(b)
-        es.append(e)
-    measures = []
-    for values, b in zip(_conv_heads(1.0 + lam, es, k_max + 1), bs):
+        slot.append(e)
+        del w  # freed before the transforms
+        values = next(heads)
         values[:-1] -= b
         values[0] = 0.0
         values[1:] -= values[:-1].copy()  # increments, in place

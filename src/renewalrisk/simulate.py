@@ -33,7 +33,6 @@ the draws nor the scheduling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +217,9 @@ def _run_batches(worker, n_paths: int, threads: int) -> list:
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    # imported here, so the quadrature-only experiments never load it (or its logging)
+    from concurrent.futures import ThreadPoolExecutor
+
     sizes = [min(BLOCK, n_paths - start) for start in range(0, n_paths, BLOCK)]
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         return list(pool.map(worker, range(len(sizes)), sizes))

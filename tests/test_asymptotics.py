@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,3 +216,33 @@ def test_theorem_rhs_calls_no_blas(monkeypatch):
     vals = [per_t[0] for per_t in theorem_rhs(f, f, [box], 0.05, [0.5, 1.0, 1.5, 2.0], *tms)]
     assert all(a.total < b.total for a, b in zip(vals, vals[1:]))
     assert vals[-1].total == pytest.approx(top.total, rel=1e-13)
+
+
+def _working_memory(fn) -> int:
+    """Peak bytes fn() allocates beyond what it returns, after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak - held
+
+
+def test_theorem_rhs_memory_does_not_grow_with_boxes():
+    # boxes are streamed, one box's arrays at a time: 12 boxes need the
+    # working memory of 3 within one K-length array (holding every box's
+    # operands up front read 14.0 and 32.1 arrays)
+    grid = renewal_function(Exponential(1.0), 2.0, 5e-5)  # K = 4e4 cells
+    f = Pareto(1.0)
+    tms = tilted_triplet(grid, FrankTri(f, f, Exponential(1.0), 1.0))
+    k_array = 8 * len(grid.lambda_values)
+
+    def peak(n_boxes):
+        boxes = [Box2(10.0 * (i + 1), 10.0 * (i + 1), 5.0, 5.0) for i in range(n_boxes)]
+        return _working_memory(lambda: theorem_rhs(f, f, boxes, 0.05, [0.5, 1.0, 1.5, 2.0], *tms))
+
+    three, twelve = peak(3), peak(12)
+    assert abs(twelve - three) <= k_array, (three / k_array, twelve / k_array)

@@ -372,6 +372,10 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
         # exited 3 after the renewal solve; r * max(t_grid) = 710 here
         ("asymptotic", {"model": {"r": 710.0}}, "config.model.r", ()),
         ("compare", {"model": {"r": 710.0}}, "config.model.r", ()),
+        # a horizon below one renewal step rounds to 0 cells: this wrote an
+        # asymptotic_total of 0.0 and a ratio of nan, with exit 0
+        *((experiment, {"renewal_step": 1e-3, "grids": {"t_grid": [1e-9, 1.0], "x_grid": [5.0], "d": 5.0}},
+           "config.grids.t_grid", ()) for experiment in ("asymptotic", "compare")),
     ],
     ids=["lemma33-n", "n-paths-zero", "box-width", "seed-negative", "seed-too-large",
          "n-boxes-zero", "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large",
@@ -389,7 +393,8 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
          "experiment-not-string", "output-path-not-string",
          "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative",
          "unknown-top-level", "unknown-model", "unknown-grids", "unknown-box", "unknown-marginal",
-         "unknown-dependence", "unknown-premium", "r-t-overflow-asymptotic", "r-t-overflow-compare"],
+         "unknown-dependence", "unknown-premium", "r-t-overflow-asymptotic", "r-t-overflow-compare",
+         "t-below-renewal-step-asymptotic", "t-below-renewal-step-compare"],
 )
 def test_config_contract_exit_2(tmp_path, experiment, change, path, args):
     doc = make_doc(experiment)
@@ -538,6 +543,22 @@ def test_runtime_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("experiment, loaded", [("asymptotic", False), ("simulate", True)])
+def test_thread_pool_loads_with_the_first_simulation_only(tmp_path, experiment, loaded):
+    # concurrent.futures, and the logging it imports, cost a quadrature-only run
+    # memory and time for nothing; simulate is the control that it is seen
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(make_doc(experiment)))
+    code = (
+        "import sys, renewalrisk.cli; "
+        f"code = renewalrisk.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out.csv')!r}]); "
+        "print(code, 'concurrent.futures' in sys.modules)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", str(loaded)]
 
 
 def test_simulate_with_counterexample_marginals(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_conv_heads_match_direct_convolution(n):
         bs = [_padded(rng, zb, min(span, length), length)
               for zb, length in ((0, n), (1, n + 3), (5, n + 9), (n // 2, n), (n - 1, n), (n, n + 1))]
         operands = [b.copy() for b in bs]
-        heads = _conv_heads(a, bs, n)
+        heads = list(_conv_heads(a, bs, n))
         assert len(heads) == len(bs)
         assert all(np.shares_memory(head, b) for head, b in zip(heads, bs))  # written over b
         for b, head in zip(operands, heads):
@@ -273,3 +274,27 @@ def test_tilted_measure_weight_sequence_matches_single_calls(g):
         assert np.array_equal(tm.values == 0.0, one.values == 0.0)
     with pytest.raises(ValueError):
         tilted_measure(grid, [lambda u: np.ones_like(u), lambda u: -np.ones_like(u)])
+
+
+def test_tilted_measure_memory_does_not_grow_with_weights():
+    # each weight's arrays are built, convolved and finished before the next
+    # weight's exist: beyond the measures it returns, three weights need the
+    # working memory of one within one K-length array
+    grid = renewal_function(Exponential(1.0), 2.0, 5e-5)  # K = 4e4 nodes
+    dep = FrankTri(Pareto(1.0), Pareto(1.0), Exponential(1.0), 1.0)
+    weights = [lambda u: dep.h_func(1, u), lambda u: dep.h_func(2, u), dep.g_func]
+    k_array = 8 * len(grid.lambda_values)
+
+    def peak(ws):
+        tilted_measure(grid, ws)  # warm up
+        tracemalloc.start()
+        try:
+            measures = tilted_measure(grid, ws)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(measures) == len(ws)
+        return peak - held
+
+    one, three = peak(weights[:1]), peak(weights)
+    assert abs(three - one) <= k_array, (one / k_array, three / k_array)
