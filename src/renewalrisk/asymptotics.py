@@ -21,9 +21,10 @@ its cross and diagonal terms as sums over prefixes.  A pass takes a
 whole sequence of boxes: the cell midpoints, the tau grid and the
 transforms of the two singly-tilted measures' increments are shared, so
 each further box costs four scaled window probabilities over the grid
-and two forward-inverse transform pairs.  The boxes are streamed: each
-box's windows, diagonal sums, convolutions and tau-weighted prefix sums
-are done and freed before the next box starts.  A pass over K cells
+and two forward-inverse transform pairs.  The boxes go one at a time
+through two convolvers, each built once from one of those transforms:
+a box's windows, diagonal sums, convolutions and tau-weighted prefix
+sums are done and freed before the next box starts.  A pass over K cells
 therefore peaks at about 12 arrays of K floats beyond its inputs (the
 midpoints, the tau grid, the two transforms, one box's two operands
 and one transform pair), whatever the box count.  Those sums
@@ -123,12 +124,9 @@ def theorem_rhs(
     incj = tilted_joint.increments[1 : k_max + 1]
     mids = h * (np.arange(1, k_max + 1) - 0.5)
     tau = h * np.arange(1, n_max + 1)  # u + v for s = 2..s_cap
-    # one operand slot per side: a box puts its weighted windows in, and the
-    # side's next head takes them out, so inc1 and inc2 are transformed once
-    # and only one box's arrays exist at a time
-    slot_1, slot_2 = [], []
-    heads_1 = _conv_heads(inc1, (slot_2.pop() for _ in boxes), n_max)
-    heads_2 = _conv_heads(inc2, (slot_1.pop() for _ in boxes), n_max)
+    # inc1 and inc2 are transformed once, for every box
+    conv_1 = _conv_heads(inc1, n_max)
+    conv_2 = _conv_heads(inc2, n_max)
 
     def box_values(b: Box2) -> list[AsymptoticValue]:
         # pairwise .sum(), not np.dot: see the module docstring on BLAS.  The
@@ -142,13 +140,11 @@ def theorem_rhs(
         del diag_terms
         p1_mid *= inc1
         p2_mid *= inc2
-        slot_1.append(p1_mid)
-        slot_2.append(p2_mid)
-        cross_terms = next(heads_1)
+        cross_terms = conv_1(p2_mid)
         cross_terms *= scaled_local_prob(f1, b.window1, r, tau)
-        conv_2 = next(heads_2)
-        conv_2 *= scaled_local_prob(f2, b.window2, r, tau)
-        cross_terms += conv_2
+        mirrored = conv_2(p1_mid)
+        mirrored *= scaled_local_prob(f2, b.window2, r, tau)
+        cross_terms += mirrored
         crosses = [float(cross_terms[:n].sum()) for n in n_cross]
         return [AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal)
                 for cross, diagonal in zip(crosses, diagonals)]

@@ -91,22 +91,19 @@ def _first_nonzero(x: np.ndarray, n: int) -> int:
     return int(nonzero.argmax()) if nonzero.any() else n
 
 
-def _conv_heads(a: np.ndarray, bs, n: int):
-    """First n terms of the linear convolution a * b for each b of the iterable ``bs``, by real FFTs.
+def _conv_heads(a: np.ndarray, n: int):
+    """A convolver ``head(b)``: the first n terms of the linear convolution a * b, by real FFTs.
 
-    Returns a lazy iterator: it reads each b from ``bs`` only when its
-    head is asked for and keeps no reference to it afterwards, so a
-    caller that builds its operands one at a time holds one operand at
-    a time.  Each b holds at least n entries and is consumed: the head
-    of a * b is written over b[:n], which is returned, so the heads take
-    no memory beyond their operands.  a is transformed once, here, for
-    all of ``bs``, at one 5-smooth length L < 4n that holds a * b
-    whatever b's leading zeros, so nothing wraps.  Beyond the operands
-    the iterator holds a's transform, about L/2 complex entries, and
-    each head adds b's transform and its inverse while it is computed.
-    Leading zeros of a and of each b are split off, so a head that is
-    exactly zero (no renewal before the support of G starts) stays
-    exactly zero instead of carrying FFT rounding.
+    a is transformed once, here, at one 5-smooth length L < 4n that
+    holds a * b whatever b's leading zeros, so nothing wraps; each call
+    reuses that transform.  Each b holds at least n entries and is
+    consumed: the head of a * b is written over b[:n], which is
+    returned, so a head takes no memory beyond its operand.  Beyond its
+    operands the convolver holds a's transform, about L/2 complex
+    entries, and a call adds b's transform and its inverse while it
+    runs.  Leading zeros of a and of each b are split off, so a head
+    that is exactly zero (no renewal before the support of G starts)
+    stays exactly zero instead of carrying FFT rounding.
     """
     za = _first_nonzero(a, n)
     if za < n:
@@ -123,7 +120,7 @@ def _conv_heads(a: np.ndarray, bs, n: int):
         b[:lo] = 0.0
         return b[:n]
 
-    return map(head, bs)
+    return head
 
 
 def _series_reciprocal(q: np.ndarray, n: int) -> np.ndarray:
@@ -187,7 +184,7 @@ def renewal_function(g: Marginal, t_max: float, h: float) -> RenewalGrid:
     q[1:] = dg
     q[1:-1] += dg[1:]
     q[1:] *= -0.5
-    lam = next(_conv_heads(cdf, [_series_reciprocal(q, n)], n))
+    lam = _conv_heads(cdf, n)(_series_reciprocal(q, n))
     return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_increments=dg)
 
 
@@ -209,8 +206,7 @@ def tilted_measure(grid: RenewalGrid, weights) -> list[TiltedMeasure]:
     # lam_{k-j+1}: values[k] = sum_{i<k} a[i]*(1+lam[k-1-i]) + b[i]*(1+lam[k-i]);
     # with e[j] = a[j-1] + b[j] that is (e * (1+lam))[k] - b[k], as lam[0] = 0
     measures = []
-    slot = []  # the weight's e, taken out by the next head
-    heads = _conv_heads(1.0 + lam, (slot.pop() for _ in weights), k_max + 1)
+    head = _conv_heads(1.0 + lam, k_max + 1)
     for wf in weights:
         w = np.broadcast_to(np.asarray(wf(t), dtype=float), t.shape)
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
@@ -219,9 +215,8 @@ def tilted_measure(grid: RenewalGrid, weights) -> list[TiltedMeasure]:
         e = np.zeros(k_max + 1)
         e[1:] += 0.5 * w[1:] * dg
         e[:-1] += b
-        slot.append(e)
         del w  # freed before the transforms
-        values = next(heads)
+        values = head(e)
         values[:-1] -= b
         values[0] = 0.0
         values[1:] -= values[:-1].copy()  # increments, in place

@@ -232,7 +232,8 @@ def test_conv_heads_match_direct_convolution(n):
         bs = [_padded(rng, zb, min(span, length), length)
               for zb, length in ((0, n), (1, n + 3), (5, n + 9), (n // 2, n), (n - 1, n), (n, n + 1))]
         operands = [b.copy() for b in bs]
-        heads = list(_conv_heads(a, bs, n))
+        conv = _conv_heads(a, n)
+        heads = [conv(b) for b in bs]
         assert len(heads) == len(bs)
         assert all(np.shares_memory(head, b) for head, b in zip(heads, bs))  # written over b
         for b, head in zip(operands, heads):
