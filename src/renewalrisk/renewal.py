@@ -103,7 +103,8 @@ def _conv_heads(a: np.ndarray, n: int):
     entries, and a call adds b's transform and its inverse while it
     runs.  Leading zeros of a and of each b are split off, so a head
     that is exactly zero (no renewal before the support of G starts)
-    stays exactly zero instead of carrying FFT rounding.
+    stays exactly zero instead of carrying FFT rounding, and the first
+    term that can be nonzero is the exact product a[za] b[zb].
     """
     za = _first_nonzero(a, n)
     if za < n:
@@ -114,9 +115,11 @@ def _conv_heads(a: np.ndarray, n: int):
         zb = _first_nonzero(b, n - za)
         lo = min(za + zb, n)
         if lo < n:
+            first = a[za] * b[zb]
             fb = np.fft.rfft(b[zb : n - za], size)
             fb *= fa
             b[lo:n] = np.fft.irfft(fb, size)[: n - lo]
+            b[lo] = first
         b[:lo] = 0.0
         return b[:n]
 

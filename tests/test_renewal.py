@@ -244,7 +244,22 @@ def test_conv_heads_match_direct_convolution(n):
                 ref[zb : zb + len(direct)] = direct
             assert head.shape == (n,)
             assert np.all(head[: min(za + zb, n)] == 0.0)
+            if za + zb < n:
+                assert head[za + zb] == a[za] * b[zb]
             assert np.max(np.abs(head - ref)) <= 1e-12 * max(np.max(ref), 1.0)
+
+
+def test_first_terms_after_zeros_are_exact():
+    # the node before a deterministic G's jump is exactly 0 (the FFT head
+    # read 6.7e-16 there), and lambda's first node is the exact product
+    # dG_1 / (1 - dG_1 / 2) of the scheme's first step (off by 5.1e-13)
+    grid = renewal_function(Deterministic(0.3), 2.0, 1e-3)
+    values = tilted_measure(grid, [lambda u: np.ones_like(u)])[0].values
+    assert grid.lambda_values[299] == 0.0 and values[299] == 0.0
+    for h in (5e-5, 1e-3):
+        grid = renewal_function(Exponential(1.0), 2.0, h)
+        dg1 = grid.g_increments[0]
+        assert grid.lambda_values[1] == dg1 * (1.0 / (1.0 - 0.5 * dg1))
 
 
 def test_smooth_size_is_least_5_smooth_bound():
