@@ -234,7 +234,7 @@ def _time_grid(config: ModelConfig, t):
 
 
 def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
-                  claims: int = 0, carry: dict | None = None, last_round: int | None = None) -> np.ndarray:
+                  claims: int = 0, carry: dict | None = None) -> np.ndarray:
     """Run the n paths of one block to grid[-1]; the event's weight sums per grid time, shape (len(grid), k).
 
     Each round draws one theta per alive path and moves its clock from
@@ -258,9 +258,9 @@ def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
     only those arrivals draw their claims (X1, X2), which are discounted
     and added in place.  Paths stay in order, so the draws depend on n
     and the block's claim stream alone.  ``event`` must not modify or
-    keep the arrays it is given.  Given ``last_round``, the event scores
-    no later round, so the block returns once that round has been scored
-    and draws no further theta or claims.
+    keep the arrays it is given.  Given ``claims``, the event scores no
+    round after round ``claims``, so the block returns once that round
+    has been scored and draws no further theta or claims.
     """
     rng = _block_rng(config, block, _CLAIM_STREAM)
     dep = config.dependence
@@ -288,7 +288,7 @@ def _stream_block(config: ModelConfig, block: int, n: int, grid, k: int, event,
                 diff[j] += np.bincount(first, weights=w, minlength=m + 1)
                 diff[j] -= np.bincount(stop, weights=w, minlength=m + 1)
         keep = np.flatnonzero(t_to <= t_top)
-        if keep.size == 0 or round_no == last_round:
+        if keep.size == 0 or (claims and round_no == claims):
             return np.cumsum(diff[:, :m], axis=1).T
         if keep.size < n:
             n = keep.size
@@ -471,7 +471,7 @@ def lemma33_check(
         return hit, weights[:, hit]
 
     def worker(block: int, n_block: int):
-        return _stream_block(config, block, n_block, grid, 4 * len(boxes), event, claims=n, last_round=n)
+        return _stream_block(config, block, n_block, grid, 4 * len(boxes), event, claims=n)
 
     tallies = np.sum(_run_batches(worker, n_paths, threads), axis=0).reshape(len(grid), len(boxes), 4)
     results = [[_lemma33_result(row, n_paths) for row in tallies[i]] for i in index]
