@@ -510,7 +510,15 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def _run_and_exit() -> None:
+    """Run ``main()`` as a process: the ``renewalrisk`` command and ``python -m renewalrisk.cli``.
+
+    Not part of ``main()``, which tests call in-process.
+    """
     code = main()
     gc.freeze()  # else interpreter finalization walks numpy's whole object graph
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    _run_and_exit()

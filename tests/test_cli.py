@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -559,6 +560,28 @@ def test_thread_pool_loads_with_the_first_simulation_only(tmp_path, experiment, 
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["0", str(loaded)]
+
+
+@pytest.mark.parametrize("config, code", [("shipped", 0), ("malformed", 2)])
+def test_console_script_target_runs_the_cli(tmp_path, config, code):
+    # the installed `renewalrisk` command calls the [project.scripts] target
+    # with the arguments in sys.argv, as this does
+    root = Path(__file__).resolve().parents[1]
+    target = re.search(r'^renewalrisk = "(.+)"$', (root / "pyproject.toml").read_text(), re.M).group(1)
+    module, attr = target.split(":")
+    cfg = root / "scripts" / "configs" / "compare_frank.json"
+    if config == "malformed":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+    argv = ["renewalrisk", "renewal", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    script = (
+        "import importlib, sys; "
+        f"sys.argv = {argv!r}; "
+        f"sys.exit(getattr(importlib.import_module({module!r}), {attr!r})())"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert res.returncode == code, res.stderr
+    assert (tmp_path / "out.csv").exists() == (code == 0)
 
 
 def test_simulate_with_counterexample_marginals(tmp_path):
