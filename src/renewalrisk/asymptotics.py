@@ -22,15 +22,15 @@ whole sequence of boxes: the cell midpoints, the tau grid and the
 transforms of the two singly-tilted measures' increments are shared, so
 each further box costs four scaled window probabilities over the grid
 and two forward-inverse transform pairs.  The boxes go one at a time
-through two convolvers, each built once from one of those transforms:
-a box's windows, diagonal sums, convolutions and tau-weighted prefix
-sums are done and freed before the next box starts.  A pass over K cells
-therefore peaks at about 12 arrays of K floats beyond its inputs (the
-midpoints, the tau grid, the two transforms, one box's two operands
-and one transform pair), whatever the box count.  Those sums
-are numpy's pairwise ``.sum()``, not ``np.dot``: numpy hands a float dot
-to BLAS, and a threaded BLAS splits a long 1-D dot across cores, where
-it stalls for milliseconds whenever another process holds one of them.
+through two convolvers, one per transform: a box's windows, diagonal
+sums, convolutions and tau-weighted prefix sums are done and freed
+before the next box starts.  A pass over K cells therefore peaks at
+about 12 arrays of K floats beyond its inputs (the midpoints, the tau
+grid, the two transforms, one box's two operands and one transform
+pair), whatever the box count.  Those sums are numpy's pairwise
+``.sum()``, not ``np.dot``: numpy hands a float dot to BLAS, and a
+threaded BLAS splits a long 1-D dot across cores, where it stalls for
+milliseconds whenever another process holds one of them.
 """
 
 from __future__ import annotations

@@ -511,10 +511,7 @@ def main(argv=None) -> int:
 
 
 def _run_and_exit() -> None:
-    """Run ``main()`` as a process: the ``renewalrisk`` command and ``python -m renewalrisk.cli``.
-
-    Not part of ``main()``, which tests call in-process.
-    """
+    """``main()`` as a whole process, for ``renewalrisk`` and ``python -m``; in-process callers use ``main()``."""
     code = main()
     gc.freeze()  # else interpreter finalization walks numpy's whole object graph
     sys.exit(code)

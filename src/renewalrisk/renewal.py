@@ -94,17 +94,15 @@ def _first_nonzero(x: np.ndarray, n: int) -> int:
 def _conv_heads(a: np.ndarray, n: int):
     """A convolver ``head(b)``: the first n terms of the linear convolution a * b, by real FFTs.
 
-    a is transformed once, here, at one 5-smooth length L < 4n that
-    holds a * b whatever b's leading zeros, so nothing wraps; each call
-    reuses that transform.  Each b holds at least n entries and is
-    consumed: the head of a * b is written over b[:n], which is
-    returned, so a head takes no memory beyond its operand.  Beyond its
-    operands the convolver holds a's transform, about L/2 complex
-    entries, and a call adds b's transform and its inverse while it
-    runs.  Leading zeros of a and of each b are split off, so a head
-    that is exactly zero (no renewal before the support of G starts)
-    stays exactly zero instead of carrying FFT rounding, and the first
-    term that can be nonzero is the exact product a[za] b[zb].
+    a is transformed once, here, at one 5-smooth length L < 4n that holds
+    a * b whatever b's leading zeros, so nothing wraps.  Each b holds at
+    least n entries and is consumed: its head is written over b[:n],
+    which is returned.  Beyond its operands the convolver holds a's
+    transform, about L/2 complex entries, and a call adds b's transform
+    and its inverse while it runs.  Leading zeros of a and of b are split
+    off, so a head that is exactly zero (no renewal before the support of
+    G starts) stays exactly zero, and its first term that can be nonzero
+    is the exact product a[za] b[zb], free of FFT rounding.
     """
     za = _first_nonzero(a, n)
     if za < n:
