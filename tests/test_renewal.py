@@ -250,9 +250,9 @@ def test_conv_heads_match_direct_convolution(n):
 
 
 def test_first_terms_after_zeros_are_exact():
-    # the node before a deterministic G's jump is exactly 0 (the FFT head
-    # read 6.7e-16 there), and lambda's first node is the exact product
-    # dG_1 / (1 - dG_1 / 2) of the scheme's first step (off by 5.1e-13)
+    # the node before a deterministic G's jump is exactly 0, and lambda's
+    # first node is the exact product dG_1 / (1 - dG_1 / 2) of the scheme's
+    # first step; the FFT's own rounding there is ~1e-15 absolute
     grid = renewal_function(Deterministic(0.3), 2.0, 1e-3)
     values = tilted_measure(grid, [lambda u: np.ones_like(u)])[0].values
     assert grid.lambda_values[299] == 0.0 and values[299] == 0.0
