@@ -18,19 +18,22 @@ t grid.  Every array built for a horizon t is a prefix of the one built
 for the largest horizon, and so is the head of their convolution; one
 pass therefore builds the terms and the FFT heads once, and each t reads
 its cross and diagonal terms as sums over prefixes.  A pass takes a
-whole sequence of boxes: the cell midpoints, the tau grid and the
-transforms of the two singly-tilted measures' increments are shared, so
-each further box costs four scaled window probabilities over the grid
-and two forward-inverse transform pairs.  The boxes go one at a time
-through two convolvers, one per transform: a box's windows, diagonal
-sums, convolutions and tau-weighted prefix sums are done and freed
-before the next box starts.  A pass over K cells therefore peaks at
-about 12 arrays of K floats beyond its inputs (the midpoints, the tau
-grid, the two transforms, one box's two operands and one transform
-pair), whatever the box count.  Those sums are numpy's pairwise
-``.sum()``, not ``np.dot``: numpy hands a float dot to BLAS, and a
-threaded BLAS splits a long 1-D dot across cores, where it stalls for
-milliseconds whenever another process holds one of them.
+whole sequence of boxes: the transforms of the two singly-tilted
+measures' increments are shared, so each further box costs four scaled
+window probabilities over the grid and two forward-inverse transform
+pairs.  The boxes go one at a time through two convolvers, one per
+transform: a box's windows, diagonal sums, convolutions and tau-weighted
+prefix sums are done and freed before the next box starts.  The cell
+midpoints are built for a box's two midpoint windows and freed before
+its convolutions, and the tau grid is built for each tau window, so
+neither is held across the pass.  A pass over K cells therefore peaks at
+about 11 arrays of K floats beyond its inputs, whatever the box count:
+the two transforms (two arrays each), one box's two operands, the tau
+grid and one window probability over it with its temporaries.  Those
+sums are numpy's pairwise ``.sum()``, not ``np.dot``: numpy hands a
+float dot to BLAS, and a threaded BLAS splits a long 1-D dot across
+cores, where it stalls for milliseconds whenever another process holds
+one of them.
 """
 
 from __future__ import annotations
@@ -102,14 +105,13 @@ def theorem_rhs(
     horizon of one AsymptoticValue per box, all from one pass up to the
     largest horizon.
     """
-    grid = tilted_1.grid
-    h = grid.step
+    h, t_max = tilted_1.step, tilted_1.t_max
     ts = [float(t) for t in ts]
     for tv in ts:
-        if not 0.0 <= tv <= grid.t_max + 0.5 * h:
-            raise ValueError(f"t={tv} outside the tilted-measure grid [0, {grid.t_max}]")
+        if not 0.0 <= tv <= t_max + 0.5 * h:
+            raise ValueError(f"t={tv} outside the tilted-measure grid [0, {t_max}]")
     for tm in (tilted_2, tilted_joint):
-        if tm.grid.step != h or len(tm.increments) != len(tilted_1.increments):
+        if (tm.step, tm.t_max, len(tm.increments)) != (h, t_max, len(tilted_1.increments)):
             raise ValueError("tilted measures must share one grid")
     # per horizon: k_t cells, and the cell-pair sums j + k = s, which live at
     # u + v = (s - 1) h, admitted for s <= s_cap with (s - 1) h <= t (boundary
@@ -122,18 +124,21 @@ def theorem_rhs(
     inc1 = tilted_1.increments[1 : k_max + 1]
     inc2 = tilted_2.increments[1 : k_max + 1]
     incj = tilted_joint.increments[1 : k_max + 1]
-    mids = h * (np.arange(1, k_max + 1) - 0.5)
-    tau = h * np.arange(1, n_max + 1)  # u + v for s = 2..s_cap
     # inc1 and inc2 are transformed once, for every box
     conv_1 = _conv_heads(inc1, n_max)
     conv_2 = _conv_heads(inc2, n_max)
+
+    def tau():  # u + v for s = 2..s_cap, built where it is read
+        return h * np.arange(1, n_max + 1)
 
     def box_values(b: Box2) -> list[AsymptoticValue]:
         # pairwise .sum(), not np.dot: see the module docstring on BLAS.  The
         # diagonal sums first; each midpoint window probability then becomes,
         # in place, the weighted increments the cross term convolves
+        mids = h * (np.arange(1, k_max + 1) - 0.5)
         p1_mid = scaled_local_prob(f1, b.window1, r, mids)
         p2_mid = scaled_local_prob(f2, b.window2, r, mids)
+        del mids  # freed before the convolutions
         diag_terms = p1_mid * p2_mid
         diag_terms *= incj
         diagonals = [float(diag_terms[:k].sum()) for k in k_ts]
@@ -141,9 +146,9 @@ def theorem_rhs(
         p1_mid *= inc1
         p2_mid *= inc2
         cross_terms = conv_1(p2_mid)
-        cross_terms *= scaled_local_prob(f1, b.window1, r, tau)
+        cross_terms *= scaled_local_prob(f1, b.window1, r, tau())
         mirrored = conv_2(p1_mid)
-        mirrored *= scaled_local_prob(f2, b.window2, r, tau)
+        mirrored *= scaled_local_prob(f2, b.window2, r, tau())
         cross_terms += mirrored
         crosses = [float(cross_terms[:n].sum()) for n in n_cross]
         return [AsymptoticValue(total=cross + diagonal, cross_term=cross, diagonal_term=diagonal)

@@ -50,9 +50,14 @@ class RenewalGrid:
 
 @dataclass(frozen=True)
 class TiltedMeasure:
-    """Increments of the weighted renewal measure on the grid of ``grid``."""
+    """Increments of the weighted renewal measure on the grid of step ``step`` up to ``t_max``.
 
-    grid: RenewalGrid
+    It keeps its grid's geometry, not the grid, so lambda and G's
+    increments can be freed while the measure lives.
+    """
+
+    step: float
+    t_max: float
     increments: np.ndarray
 
     @property
@@ -97,23 +102,25 @@ def _conv_heads(a: np.ndarray, n: int):
     a is transformed once, here, at one 5-smooth length L < 4n that holds
     a * b whatever b's leading zeros, so nothing wraps.  Each b holds at
     least n entries and is consumed: its head is written over b[:n],
-    which is returned.  Beyond its operands the convolver holds a's
-    transform, about L/2 complex entries, and a call adds b's transform
-    and its inverse while it runs.  Leading zeros of a and of b are split
-    off, so a head that is exactly zero (no renewal before the support of
-    G starts) stays exactly zero, and its first term that can be nonzero
-    is the exact product a[za] b[zb], free of FFT rounding.
+    which is returned.  The convolver keeps a's transform, about L/2
+    complex entries, and the scalar a[za], not a itself, so a caller can
+    free a once the convolver exists; a call adds b's transform and its
+    inverse while it runs.  Leading zeros of a and of b are split off, so
+    a head that is exactly zero (no renewal before the support of G
+    starts) stays exactly zero, and its first term that can be nonzero is
+    the exact product a[za] b[zb], free of FFT rounding.
     """
     za = _first_nonzero(a, n)
     if za < n:
         size = _smooth_size(2 * (n - za) - 1)
         fa = np.fft.rfft(a[za:n], size)
+        a_first = a[za]
 
     def head(b):
         zb = _first_nonzero(b, n - za)
         lo = min(za + zb, n)
         if lo < n:
-            first = a[za] * b[zb]
+            first = a_first * b[zb]
             fb = np.fft.rfft(b[zb : n - za], size)
             fb *= fa
             b[lo:n] = np.fft.irfft(fb, size)[: n - lo]
@@ -175,9 +182,6 @@ def renewal_function(g: Marginal, t_max: float, h: float) -> RenewalGrid:
         return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_increments=dg)
 
     n = k_max + 1
-    cdf = np.empty(n)
-    cdf[0] = 0.0
-    np.cumsum(dg, out=cdf[1:])
     # q = pivot, then -c/2, where c[j] = dG_j + dG_{j+1} pairs lambda_{k-j}
     # with both trapezoid halves
     q = np.empty(n)
@@ -185,20 +189,31 @@ def renewal_function(g: Marginal, t_max: float, h: float) -> RenewalGrid:
     q[1:] = dg
     q[1:-1] += dg[1:]
     q[1:] *= -0.5
-    lam = _conv_heads(cdf, n)(_series_reciprocal(q, n))
+    recip = _series_reciprocal(q, n)
+    del q  # each operand is freed once inverted or transformed
+    cdf = np.empty(n)
+    cdf[0] = 0.0
+    np.cumsum(dg, out=cdf[1:])
+    conv = _conv_heads(cdf, n)
+    del cdf
+    lam = conv(recip)
     return RenewalGrid(step=h, t_max=t_max, lambda_values=lam, g_increments=dg)
 
 
 def tilted_measure(grid: RenewalGrid, weights) -> list[TiltedMeasure]:
     """Increments of lambda~(t) = int (1 + lambda(t-u)) w(u) G(du), one measure per weight w.
 
-    Each of ``weights`` is a vectorized function of u on [0, t_max]; it
-    must be positive there.  With w == 1 the cumulative measure
+    ``weights`` is a sequence of vectorized functions of u on [0, t_max];
+    each must be positive there.  With w == 1 the cumulative measure
     reproduces the renewal function exactly on the grid, by construction
     of the solver.  All measures come from one transform of 1 + lambda,
-    and each weight's arrays are built, convolved and finished before
-    the next weight's exist, so the working memory beyond the returned
-    measures does not grow with the number of weights.
+    which is freed once transformed.  The measures' increments are the
+    rows of one array, allocated before any weight's temporaries exist;
+    each weight's operand is built in its own row, which the convolver
+    writes its head over, and its other arrays are finished before the
+    next weight's exist, so the working memory beyond the returned
+    measures does not grow with the number of weights.  The measures
+    keep the grid's step and t_max, not the grid.
     """
     lam, dg, t = grid.lambda_values, grid.g_increments, grid.times
     k_max = len(lam) - 1
@@ -206,14 +221,13 @@ def tilted_measure(grid: RenewalGrid, weights) -> list[TiltedMeasure]:
     # with a = w[1:] dG / 2 pairing lam_{k-j} and b = w[:-1] dG / 2 pairing
     # lam_{k-j+1}: values[k] = sum_{i<k} a[i]*(1+lam[k-1-i]) + b[i]*(1+lam[k-i]);
     # with e[j] = a[j-1] + b[j] that is (e * (1+lam))[k] - b[k], as lam[0] = 0
-    measures = []
+    rows = np.zeros((len(weights), k_max + 1))
     head = _conv_heads(1.0 + lam, k_max + 1)
-    for wf in weights:
+    for e, wf in zip(rows, weights):
         w = np.broadcast_to(np.asarray(wf(t), dtype=float), t.shape)
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("tilting weight must be positive and finite on the grid")
         b = 0.5 * w[:-1] * dg
-        e = np.zeros(k_max + 1)
         e[1:] += 0.5 * w[1:] * dg
         e[:-1] += b
         del w  # freed before the transforms
@@ -221,8 +235,7 @@ def tilted_measure(grid: RenewalGrid, weights) -> list[TiltedMeasure]:
         values[:-1] -= b
         values[0] = 0.0
         values[1:] -= values[:-1].copy()  # increments, in place
-        measures.append(TiltedMeasure(grid=grid, increments=values))
-    return measures
+    return [TiltedMeasure(step=grid.step, t_max=grid.t_max, increments=e) for e in rows]
 
 
 def tilted_triplet(grid: RenewalGrid, dep) -> tuple[TiltedMeasure, TiltedMeasure, TiltedMeasure]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -11,3 +13,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def working_memory(fn) -> int:
+    """Peak bytes fn() allocates beyond what it returns, after one warm-up call.
+
+    The one tracemalloc measure every memory test shares.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak - held
+

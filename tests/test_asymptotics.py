@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,8 @@ from renewalrisk.copulas import FrankTri
 from renewalrisk.marginals import Exponential, LocalWindow, Pareto, local_prob, scaled_local_prob
 from renewalrisk.renewal import renewal_function, tilted_measure, tilted_triplet
 
+from conftest import working_memory
+
 
 def poisson_tilted(t_max=3.0, h=1e-3):
     grid = renewal_function(Exponential(1.0), t_max, h)
@@ -27,7 +28,7 @@ def _rhs(f1, f2, box, r, t, *tms):
 
 def _direct_theorem_rhs(f1, f2, box, r, t, tilted_1, tilted_2, tilted_joint):
     """Reference evaluator: the same cells summed by direct convolution, O(K^2)."""
-    h = tilted_1.grid.step
+    h = tilted_1.step
     k_t = round(t / h)
     if k_t == 0:
         return AsymptoticValue(0.0, 0.0, 0.0)
@@ -218,19 +219,6 @@ def test_theorem_rhs_calls_no_blas(monkeypatch):
     assert vals[-1].total == pytest.approx(top.total, rel=1e-13)
 
 
-def _working_memory(fn) -> int:
-    """Peak bytes fn() allocates beyond what it returns, after one warm-up call."""
-    fn()
-    tracemalloc.start()
-    try:
-        out = fn()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    del out
-    return peak - held
-
-
 def test_theorem_rhs_memory_does_not_grow_with_boxes():
     # boxes are streamed, one box's arrays at a time: 12 boxes need the
     # working memory of 3 within one K-length array (holding every box's
@@ -242,7 +230,34 @@ def test_theorem_rhs_memory_does_not_grow_with_boxes():
 
     def peak(n_boxes):
         boxes = [Box2(10.0 * (i + 1), 10.0 * (i + 1), 5.0, 5.0) for i in range(n_boxes)]
-        return _working_memory(lambda: theorem_rhs(f, f, boxes, 0.05, [0.5, 1.0, 1.5, 2.0], *tms))
+        return working_memory(lambda: theorem_rhs(f, f, boxes, 0.05, [0.5, 1.0, 1.5, 2.0], *tms))
 
     three, twelve = peak(3), peak(12)
     assert abs(twelve - three) <= k_array, (three / k_array, twelve / k_array)
+
+
+def test_theorem_rhs_working_memory_bound():
+    # the midpoint and tau grids are built where they are read and freed
+    # before the convolutions: on K cells a pass peaks at 11.0 arrays of K
+    # floats at any box count (holding both grids across the pass read 12.0)
+    grid = renewal_function(Exponential(1.0), 2.0, 5e-5)  # K = 4e4 cells
+    f = Pareto(1.0)
+    tms = tilted_triplet(grid, FrankTri(f, f, Exponential(1.0), 1.0))
+    k_array = 8 * len(grid.lambda_values)
+    for n_boxes in (1, 3, 12):
+        boxes = [Box2(10.0 * (i + 1), 10.0 * (i + 1), 5.0, 5.0) for i in range(n_boxes)]
+        used = working_memory(lambda: theorem_rhs(f, f, boxes, 0.05, [0.5, 1.0, 1.5, 2.0], *tms))
+        assert used <= 11.1 * k_array, (n_boxes, used / k_array)
+
+
+def test_theorem_rhs_rejects_measures_on_different_grids():
+    # measures keep only their grid's step and t_max: those and the length
+    # must agree, here with equal step and length but t_max apart
+    f = Pareto(1.0)
+    tms = poisson_tilted(t_max=2.0, h=1e-3)
+    shifted = poisson_tilted(t_max=2.0004, h=1e-3)[0]
+    finer = poisson_tilted(t_max=2.0, h=5e-4)[0]
+    assert len(shifted.increments) == len(tms[0].increments)
+    for other in (shifted, finer):
+        with pytest.raises(ValueError, match="share one grid"):
+            theorem_rhs(f, f, [Box2(10.0, 10.0, 5.0, 5.0)], 0.05, [1.0], tms[0], other, tms[2])

@@ -1,6 +1,6 @@
 import math
 import time
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from renewalrisk.renewal import (
     tilted_triplet,
 )
 from renewalrisk.simulate import MAX_ARRIVALS
+
+from conftest import working_memory
 
 
 def _direct_renewal(g, t_max, h):
@@ -285,7 +287,7 @@ def test_tilted_measure_weight_sequence_matches_single_calls(g):
     assert isinstance(many, list) and len(many) == len(weights)
     for tm, weight in zip(many, weights):
         (one,) = tilted_measure(grid, [weight])
-        assert one.grid is tm.grid is grid
+        assert (one.step, one.t_max) == (tm.step, tm.t_max) == (grid.step, grid.t_max)
         assert tm.increments == pytest.approx(one.increments, rel=1e-13, abs=0)
         assert np.array_equal(tm.values == 0.0, one.values == 0.0)
     with pytest.raises(ValueError):
@@ -302,15 +304,43 @@ def test_tilted_measure_memory_does_not_grow_with_weights():
     k_array = 8 * len(grid.lambda_values)
 
     def peak(ws):
-        tilted_measure(grid, ws)  # warm up
-        tracemalloc.start()
-        try:
-            measures = tilted_measure(grid, ws)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(measures) == len(ws)
-        return peak - held
+        assert len(tilted_measure(grid, ws)) == len(ws)
+        return working_memory(lambda: tilted_measure(grid, ws))
 
     one, three = peak(weights[:1]), peak(weights)
     assert abs(three - one) <= k_array, (one / k_array, three / k_array)
+
+
+def test_tilted_triplet_frees_the_grid():
+    # a tilted measure keeps its grid's step and t_max, not the grid, so
+    # lambda and G's increments die with the grid while the measures live
+    grid = renewal_function(Exponential(1.0), 2.0, 1e-3)
+    lam = weakref.ref(grid.lambda_values)
+    dg = weakref.ref(grid.g_increments)
+    measures = tilted_triplet(grid, FrankTri(Pareto(1.0), Pareto(1.0), Exponential(1.0), 1.0))
+    step, t_max = grid.step, grid.t_max
+    del grid
+    assert lam() is None and dg() is None
+    assert all((tm.step, tm.t_max) == (step, t_max) and len(tm.increments) == 2001 for tm in measures)
+
+
+def test_renewal_function_working_memory_bound():
+    # at K = 4e4 nodes the solver needs at most 6.1 arrays of K floats beyond
+    # the grid it returns: q is freed once inverted and the cdf is built after
+    # that and freed once transformed (holding both through the inversion
+    # read 8.06)
+    g = Exponential(1.0)
+    k_array = 8 * len(renewal_function(g, 2.0, 5e-5).lambda_values)
+    used = working_memory(lambda: renewal_function(g, 2.0, 5e-5))
+    assert used <= 6.1 * k_array, used / k_array
+
+
+def test_tilted_triplet_working_memory_bound():
+    # at K = 4e4 nodes three tilts need at most 8.1 arrays of K floats beyond
+    # the measures they return: 1 + lambda is freed once transformed and the
+    # measures are allocated before any weight's temporaries (9.08 otherwise)
+    grid = renewal_function(Exponential(1.0), 2.0, 5e-5)
+    dep = FrankTri(Pareto(1.0), Pareto(1.0), Exponential(1.0), 1.0)
+    k_array = 8 * len(grid.lambda_values)
+    used = working_memory(lambda: tilted_triplet(grid, dep))
+    assert used <= 8.1 * k_array, used / k_array
