@@ -5,7 +5,7 @@ Subcommands
     asymptotic          quadrature evaluation of the local approximation
     compare             both, with ratios, over a (t, x) grid
     renewal             renewal function and tilted measures on a grid
-    copula-check        C-volume sampling, h/g bounds, E h_i(theta) = 1
+    copula-check        least copula density, h/g bounds, E h_i(theta) = 1
     counterexample      breakpoint table, witnesses, self-convolution ratios
                         (the one experiment that needs no `model`)
     verify-conditions   conditional/asymptotic ratio scans along x
@@ -23,11 +23,6 @@ Each object it reads has a fixed set of fields, and any other key (a
 misspelt `n_path`, say) exits 2 as `config.<path>.<key>: unknown field`.
 The output path is opened only once the rows are ready, so one that
 cannot be written exits 3.
-`copula-check` reports `min_c_volume`, the least C-volume of random boxes.
-Each volume is an alternating 8-corner sum of the copula CDF, so a small
-box loses its volume to rounding: a valid copula can read slightly below
-0, e.g. -2.8e-17 for frank-tri at gamma = 20 (seed 11, 1e5 boxes).  A
-value above -1e-12 is such rounding, not an invalid copula.
 All numeric CSV fields use shortest round-trip decimal representation.
 Monte Carlo runs in blocks of 2^16 paths, each drawing from its own
 random stream keyed by the seed and the block's index, so outputs are
@@ -58,6 +53,7 @@ from .copulas import (
     bounds_over_horizon,
     condition_ratio_scan,
     mean_h_check,
+    min_copula_density,
 )
 from .counterexample import N_MAX_LIMIT, CounterexampleF
 from .marginals import Deterministic, Exponential, Marginal, Pareto, Weibull
@@ -134,7 +130,7 @@ def _int(doc: dict, key: str, path: str, default: int, lo: int, hi: int | None =
 
 
 #: the fields of the config object and of its sections; any other key is an error
-CONFIG_FIELDS = ("model", "experiment", "grids", "box", "n", "n_paths", "n_boxes", "renewal_step",
+CONFIG_FIELDS = ("model", "experiment", "grids", "box", "n", "n_paths", "renewal_step",
                  "counterexample_n_max", "output_path")
 MODEL_FIELDS = ("f1", "f2", "g", "dependence", "premiums", "seed", "batch_size", "t_max", "r")
 GRID_FIELDS = ("t_grid", "x_grid", "s_grid", "d")
@@ -358,7 +354,6 @@ def parse_config(doc: dict, experiment: str | None = None, seed: int | None = No
         "boxes": _boxes(doc, grids) if "t_grid" in EXPERIMENTS[experiment] else None,
         "n": _int(doc, "n", "config", default=2, lo=1, hi=4) if experiment == "lemma33" else None,
         "n_paths": _int(doc, "n_paths", "config", default=1_000_000, lo=1),
-        "n_boxes": _int(doc, "n_boxes", "config", default=100_000, lo=1),
         "renewal_step": renewal_step,
         "counterexample_n_max": _int(doc, "counterexample_n_max", "config", default=N_MAX_LIMIT,
                                      lo=1, hi=N_MAX_LIMIT + 1),
@@ -423,13 +418,8 @@ def run(cfg: dict, threads: int = 1) -> None:
 
     if experiment == "copula-check":
         dep = model.dependence
-        rng = np.random.default_rng(model.seed)
-        n_boxes = cfg["n_boxes"]
-        lo = rng.random((n_boxes, 3))
-        hi = lo + rng.random((n_boxes, 3)) * (1.0 - lo)
-        min_vol = float(dep.c_volumes(lo, hi).min())
         rows = [
-            ["min_c_volume", min_vol],
+            ["min_copula_density", min_copula_density(dep)],
             ["mean_h1_minus_1", mean_h_check(dep, 1) - 1.0],
             ["mean_h2_minus_1", mean_h_check(dep, 2) - 1.0],
             ["b_lower", report.b_lower], ["b_upper", report.b_upper],

@@ -5,7 +5,8 @@ zero-coefficient member, the exchangeable tri-dimensional Frank copula,
 and a product copula nested inside a bivariate Frank copula.  Each
 variant carries
 
-* the joint copula CDF and C-volumes,
+* the copula density c(u, v, w), which is >= 0 on the unit cube exactly
+  when the variant is a valid copula,
 * exact conditional distributions (given theta; given the other claim and
   theta), obtained from closed-form copula partial derivatives, and the
   window probabilities under them, each formed per unit window width so
@@ -56,6 +57,7 @@ __all__ = [
     "bounds_over_horizon",
     "condition_ratio_scan",
     "mean_h_check",
+    "min_copula_density",
 ]
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -65,10 +67,10 @@ _LN2 = math.log(2.0)
 def _quadratic_root(qa, qb, qc):
     """The root (-qb - sqrt(D)) / (2 qa) of qa x^2 + qb x + qc = 0.
 
-    Every sampler wants that root for either sign of qb (the nested one
-    reaches qb > 0 at gamma > 1, where a sign(qb) choice picks the other
-    root); for qb <= 0 it is taken as 2 qc / (-qb + sqrt(D)), which has
-    no cancellation and stays finite at qa = 0.
+    The FGM and nested samplers want that root for either sign of qb (the
+    nested one reaches qb > 0 at gamma > 1, where a sign(qb) choice picks
+    the other root); for qb <= 0 it is taken as 2 qc / (-qb + sqrt(D)),
+    which has no cancellation and stays finite at qa = 0.
     """
     disc = np.sqrt(qb**2 - 4 * qa * qc)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -100,16 +102,9 @@ class DependenceSpec:
 
     # --- copula-scale interface -------------------------------------------
 
-    def copula_cdf(self, u, v, w):
-        raise NotImplementedError
-
-    def cond_cdf_given_w(self, u, v, w):
-        """P(U <= u, V <= v | W = w) = dC/dw."""
-        raise NotImplementedError
-
-    def cond_cdf_given_vw(self, i: int, u, v, w):
-        """P(U_i <= u | U_j = v, W = w) for the claim pair i != j."""
-        raise NotImplementedError
+    def copula_density(self, u, v, w):
+        """d^3 C / du dv dw: the per-unit joint window form given W = w at zero width, W being uniform."""
+        return self._joint_given_w(u, u, 0.0, v, v, 0.0, w)
 
     def sample_uniform(self, rng, n: int):
         """The per-arrival stage: n draws of W, and the state their (U, V) are drawn from.
@@ -168,15 +163,6 @@ class DependenceSpec:
 
     # --- derived operations -----------------------------------------------
 
-    def c_volumes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Vectorized C-volumes for boxes given by (n,3) corner arrays."""
-        total = np.zeros(lo.shape[0])
-        for iu, u in ((1, hi[:, 0]), (-1, lo[:, 0])):
-            for iv, v in ((1, hi[:, 1]), (-1, lo[:, 1])):
-                for iw, w in ((1, hi[:, 2]), (-1, lo[:, 2])):
-                    total += iu * iv * iw * self.copula_cdf(u, v, w)
-        return total
-
     # A sampler can round a uniform up to 1 (chance ~1e-16 per draw), where
     # the quantiles are undefined; the two stages below clip such values to
     # the largest double below 1 in place, and touch no value below 1.
@@ -229,25 +215,6 @@ class SarmanovFGM(DependenceSpec):
                 "invalid FGM parameters: the joint density reaches "
                 f"{min(corners):g} <= 0 on the unit cube"
             )
-
-    def copula_cdf(self, u, v, w):
-        u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
-        uu, vv, ww = u * (1 - u), v * (1 - v), w * (1 - w)
-        return (u * v * w + self.g12 * uu * vv * w + self.g13 * uu * v * ww + self.g23 * u * vv * ww)[()]
-
-    def cond_cdf_given_w(self, u, v, w):
-        u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
-        uu, vv = u * (1 - u), v * (1 - v)
-        dw = 1 - 2 * w
-        return (u * v + self.g12 * uu * vv + self.g13 * uu * v * dw + self.g23 * u * vv * dw)[()]
-
-    def cond_cdf_given_vw(self, i, u, v, w):
-        u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
-        uu = u * (1 - u)
-        dv, dw = 1 - 2 * v, 1 - 2 * w
-        g_uv, g_uw, g_vw = self._oriented(i)
-        num = u + g_uv * uu * dv + g_uw * uu * dw + g_vw * u * dv * dw
-        return (num / (1 + g_vw * dv * dw))[()]
 
     def _oriented(self, i):
         # (claim-other coupling, claim-time coupling, other-time coupling)
@@ -414,30 +381,6 @@ class _Frank(DependenceSpec):
 class FrankTri(_Frank):
     """Exchangeable tri-dimensional Frank copula, gamma > 0."""
 
-    def copula_cdf(self, u, v, w):
-        a, g = self._alpha, self.gamma
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        lu, lv, lw = _lam(g, u), _lam(g, v), _lam(g, w)
-        t = lu * lv * lw / a**2
-        # 1 + t cancels as t nears -1 (large gamma, u, v and w near 1); there it
-        # is taken as (a^2 + lu lv lw) / a^2, whose numerator is a sum of three
-        # terms >= 0: a (lam(1) - lam(u)) + lu (lam(1) - lam(v)) + lu lv e^(-gamma w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ew = np.exp(-g * np.asarray(w, dtype=float))
-            dlu, dlv = (np.exp(-g * x) * np.expm1(-g * (1 - x)) for x in (u, v))  # lam(1) - lam(x)
-            q = (a * dlu + lu * dlv + lu * lv * ew) / a**2
-            return (-np.where(t < -0.5, np.log(q), np.log1p(t)) / g)[()]
-
-    def cond_cdf_given_w(self, u, v, w):
-        a = self._alpha
-        lu, lv, lw = _lam(self.gamma, u), _lam(self.gamma, v), _lam(self.gamma, w)
-        return ((1 + lw) * lu * lv / (a**2 + lu * lv * lw))[()]
-
-    def cond_cdf_given_vw(self, i, u, v, w):
-        a = self._alpha
-        lu, lv, lw = _lam(self.gamma, u), _lam(self.gamma, v), _lam(self.gamma, w)
-        return (lu * a * (a + lv * lw) ** 2 / (a**2 + lu * lv * lw) ** 2)[()]
-
     def _joint_given_w(self, u_lo, u_hi, du, v_lo, v_hi, dv, w):
         a = self._alpha
         lw = _lam(self.gamma, w)
@@ -498,29 +441,6 @@ class FrankTri(_Frank):
         s /= -self.gamma
         return s
 
-    def sample_uniform_conditional(self, rng, n):
-        """Conditional-distribution sampler; slower oracle for the frailty path.
-
-        Valid only for gamma <= 10, and its test uses gamma = 1.5.  The
-        quadratic for w loses its discriminant to cancellation beyond that
-        (NaN for 2.2% of draws at gamma = 20 and 25% at 30, seed 0, 2e5
-        draws), so it is no oracle for large gamma; the frailty sampler is.
-        """
-        a = self._alpha
-        u = rng.random(n)
-        lu = _lam(self.gamma, u)
-        p2 = rng.random(n)
-        lv = p2 * a / (1 + lu - p2 * lu)
-        v = -np.log1p(lv) / self.gamma
-        p3 = rng.random(n)
-        # P(W <= w | U, V) = lw * a * (a + c)^2 / (a^2 + c*lw)^2 with c = lu*lv
-        # solves a quadratic in lw
-        c = lu * lv
-        qa = p3 * a * c**2
-        qb = 2 * p3 * a**3 * c - a**2 * (a + c) ** 2
-        qc = p3 * a**5
-        return u, v, -np.log1p(_quadratic_root(qa, qb, qc)) / self.gamma
-
     def _g(self, w):
         e = np.exp(self.gamma * w)
         return self.gamma**2 * (2 * e**2 - e) / math.expm1(self.gamma) ** 2
@@ -538,31 +458,11 @@ class NestedFrankProduct(_Frank):
 
     C(u, v, w) = C_gamma(u*v, w).  The joint density stays nonnegative on
     the unit cube only for 0 < gamma <= 1 (at larger gamma it goes
-    negative near the corner (1,1,0), which C-volume checks detect).  The
-    horizon bounds of g and g_ij stay positive only for gamma < 1: at
+    negative near the corner (1,1,0), and ``min_copula_density`` below 0).
+    The horizon bounds of g and g_ij stay positive only for gamma < 1: at
     gamma = 1, g(0) = 0.
     Construction accepts any gamma > 0 so the failure is observable.
     """
-
-    def copula_cdf(self, u, v, w):
-        a = self._alpha
-        lk = _lam(self.gamma, np.asarray(u, dtype=float) * v)
-        lw = _lam(self.gamma, w)
-        return (-np.log1p(lk * lw / a) / self.gamma)[()]
-
-    def cond_cdf_given_w(self, u, v, w):
-        a = self._alpha
-        lk = _lam(self.gamma, np.asarray(u, dtype=float) * v)
-        lw = _lam(self.gamma, w)
-        return ((1 + lw) * lk / (a + lk * lw))[()]
-
-    def cond_cdf_given_vw(self, i, u, v, w):
-        a = self._alpha
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        lk = _lam(self.gamma, u * v)
-        lv = _lam(self.gamma, v)
-        lw = _lam(self.gamma, w)
-        return (u * (1 + lk) * (a + lv * lw) ** 2 / ((1 + lv) * (a + lk * lw) ** 2))[()]
 
     def _joint_given_w(self, u1, u2, du, v1, v2, dv, w):
         # four-corner difference of dC/dw = (1 + lw) lk / D, D = a + lk lw, k = uv, per unit
@@ -709,6 +609,17 @@ def condition_ratio_scan(
         quotient = np.divide(ratio, weight, out=np.full(np.shape(weight), np.inf), where=weight != 0)
         out[k] = float(np.max(np.abs(quotient - 1.0)))
     return out
+
+
+def min_copula_density(spec: DependenceSpec) -> float:
+    """The least copula density on the 47^3 grid of the unit cube, its 8 vertices among them.
+
+    With uniform margins, a variant is a copula exactly when its density is
+    >= 0 (Nelsen 2006, section 2.2), and no corner sum cancels in it.
+    """
+    grid = np.linspace(0.0, 1.0, 47)
+    # + 0.0 reads a density that vanishes as -0.0 (nested Frank at gamma = 1) as 0.0
+    return float(np.min(spec.copula_density(*np.ix_(grid, grid, grid)))) + 0.0
 
 
 def mean_h_check(spec: DependenceSpec, i: int) -> float:

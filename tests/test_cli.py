@@ -169,7 +169,7 @@ def test_renewal_poisson_output(tmp_path):
 
 def test_copula_check_runs(tmp_path):
     out = tmp_path / "out.csv"
-    doc = make_doc("copula-check", output_path=str(out), n_boxes=2000)
+    doc = make_doc("copula-check", output_path=str(out))
     res = run_cli(tmp_path, doc)
     assert res.returncode == 0, res.stderr
     rows = read_csv(out)
@@ -183,12 +183,26 @@ def test_copula_check_takes_underflowed_probes_at_their_limit(tmp_path):
     model = dict(BASE_MODEL, f1={"family": "weibull", "shape": 0.8, "scale": 2.0},
                  f2={"family": "pareto", "alpha": 2.5}, g={"family": "exponential", "rate": 2.0},
                  dependence={"kind": "sarmanov-fgm", "g12": -0.5, "g13": 0.2, "g23": 0.1})
-    res = run_cli(tmp_path, make_doc("copula-check", model=model, output_path=str(out), n_boxes=2000))
+    res = run_cli(tmp_path, make_doc("copula-check", model=model, output_path=str(out)))
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
     metrics = {key: float(val) for key, val in read_csv(out)[1:]}
     assert all(math.isfinite(val) for val in metrics.values()), metrics
     assert metrics["c1"] == pytest.approx(0.19267, abs=1e-5)
+
+
+def test_copula_check_reads_the_least_density(tmp_path):
+    # frank-tri at gamma = 20 is a valid copula whose 8-corner C-volumes read
+    # -2.8e-17; nested Frank at gamma = 1 has density 0 at the vertex (1, 1, 0)
+    minima = []
+    for dependence in ({"kind": "frank-tri", "gamma": 20.0}, {"kind": "nested-frank-product", "gamma": 1.0}):
+        doc = make_doc("copula-check")
+        doc["model"]["dependence"] = dependence
+        res = run_cli(tmp_path, doc)
+        assert res.returncode == 0, res.stderr
+        minima.append(dict(csv.reader(res.stdout.splitlines()[1:]))["min_copula_density"])
+    assert float(minima[0]) > 0.0
+    assert minima[1] == "0.0"
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -278,7 +292,6 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
         ("simulate", {"box": {"x1": 5.0, "x2": 5.0, "d1": 0.0, "d2": 5.0}}, "config.box", ()),
         ("simulate", {"seed": -1}, "config.model.seed", ()),
         ("simulate", {"seed": 2**64}, "config.model.seed", ()),
-        ("copula-check", {"n_boxes": 0}, "config.n_boxes", ()),
         ("counterexample", {"counterexample_n_max": 9}, "config.counterexample_n_max", ()),
         ("asymptotic", {"renewal_step": 0.0}, "config.renewal_step", ()),
         ("asymptotic", {"renewal_step": 0.25}, "config.renewal_step", ()),
@@ -359,6 +372,8 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
         ("simulate", {}, "config.model.seed", ("--seed", "-1")),
         # a misspelt key is an error, not a silently kept default
         ("compare", {"n_path": 10}, "config.n_path", ()),
+        # copula-check reads the density on a fixed grid, with no random boxes to count
+        ("copula-check", {"n_boxes": 1000}, "config.n_boxes", ()),
         ("compare", {"model": {"rr": 0.5}}, "config.model.rr", ()),
         ("simulate", {"grids": {"t_grid": [0.5], "x_grid": [5.0], "dx": 1.0}}, "config.grids.dx", ()),
         ("simulate", {"box": {"x1": 5.0, "x2": 5.0, "d1": 5.0, "d2": 5.0, "d3": 5.0}}, "config.box.d3", ()),
@@ -379,7 +394,7 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
            "config.grids.t_grid", ()) for experiment in ("asymptotic", "compare")),
     ],
     ids=["lemma33-n", "n-paths-zero", "box-width", "seed-negative", "seed-too-large",
-         "n-boxes-zero", "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large",
+         "counterexample-n-max", "renewal-step-zero", "renewal-step-too-large",
          "batch-size-inf", "n-max-inf", "t-max-nan",
          "grids-not-object", "model-not-object", "dependence-not-object", "premium-not-object",
          "verify-x-negative", "verify-d-zero", "verify-s-negative", "verify-s-beyond-t-max",
@@ -393,7 +408,7 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
          "deterministic-g-zero-simulate", "deterministic-g-zero-renewal",
          "experiment-not-string", "output-path-not-string",
          "experiment-flag-top-level-list", "seed-flag-model-not-object", "seed-flag-negative",
-         "unknown-top-level", "unknown-model", "unknown-grids", "unknown-box", "unknown-marginal",
+         "unknown-top-level", "unknown-n-boxes", "unknown-model", "unknown-grids", "unknown-box", "unknown-marginal",
          "unknown-dependence", "unknown-premium", "r-t-overflow-asymptotic", "r-t-overflow-compare",
          "t-below-renewal-step-asymptotic", "t-below-renewal-step-compare"],
 )
@@ -426,7 +441,7 @@ def test_config_contract_exit_2(tmp_path, experiment, change, path, args):
 def test_deterministic_g_accepted(tmp_path, experiment, dependence):
     # the Monte Carlo experiments only sample theta, and claims independent of
     # theta make the weights 1 whatever G is
-    doc = make_doc(experiment, n_paths=1000, n_boxes=1000)
+    doc = make_doc(experiment, n_paths=1000)
     doc["model"].update(g=DETERMINISTIC_G, dependence=dependence)
     res = run_cli(tmp_path, doc)
     assert res.returncode == 0, res.stderr

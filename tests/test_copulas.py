@@ -19,8 +19,11 @@ from renewalrisk.copulas import (
     bounds_over_horizon,
     condition_ratio_scan,
     mean_h_check,
+    min_copula_density,
 )
 from renewalrisk.marginals import Exponential, LocalWindow, Pareto, Weibull, local_prob
+
+from copula_oracles import c_volumes, cond_cdf_given_vw, cond_cdf_given_w, copula_cdf
 
 P1, P2, E1 = Pareto(1.0), Pareto(2.0), Exponential(1.0)
 
@@ -59,12 +62,12 @@ def sample_uvw(spec, rng, n):
 @given(u=unit, v=unit, w=unit)
 @settings(max_examples=40, deadline=None)
 def test_copula_boundary_and_margins(spec, u, v, w):
-    c = float(spec.copula_cdf(u, v, w))
+    c = float(copula_cdf(spec, u, v, w))
     assert 0.0 <= c <= min(u, v, w) + 1e-12
-    assert float(spec.copula_cdf(u, 1.0, 1.0)) == pytest.approx(u, abs=1e-12)
-    assert float(spec.copula_cdf(1.0, v, 1.0)) == pytest.approx(v, abs=1e-12)
-    assert float(spec.copula_cdf(1.0, 1.0, w)) == pytest.approx(w, abs=1e-12)
-    assert float(spec.copula_cdf(0.0, v, w)) == pytest.approx(0.0, abs=1e-12)
+    assert float(copula_cdf(spec, u, 1.0, 1.0)) == pytest.approx(u, abs=1e-12)
+    assert float(copula_cdf(spec, 1.0, v, 1.0)) == pytest.approx(v, abs=1e-12)
+    assert float(copula_cdf(spec, 1.0, 1.0, w)) == pytest.approx(w, abs=1e-12)
+    assert float(copula_cdf(spec, 0.0, v, w)) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
@@ -76,7 +79,37 @@ def test_c_volume_nonnegative(spec, data):
     lo = np.array([[corners[0], corners[2], corners[4]]])
     hi = np.array([[corners[1], corners[3], corners[5]]])
     perm = rng.permutation(3)
-    assert spec.c_volumes(lo[:, perm], hi[:, perm])[0] >= -1e-12
+    assert c_volumes(spec, lo[:, perm], hi[:, perm])[0] >= -1e-12
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_copula_density_is_mixed_difference_of_cdf(spec):
+    # the third mixed central difference of the CDF is the C-volume of a cube
+    # of side 2h over its volume; it misses the density by at most 1.2e-5 here
+    h = 1e-3
+    pts = np.random.default_rng(3).uniform(0.01, 0.99, (200, 3))
+    fd = c_volumes(spec, pts - h, pts + h) / (2 * h) ** 3
+    np.testing.assert_allclose(spec.copula_density(*pts.T), fd, rtol=5e-5)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_density_minimum_nonnegative(spec):
+    assert min_copula_density(spec) >= 0.0
+
+
+@pytest.mark.parametrize("coeffs", [(0.3, -0.2, 0.4), (-0.5, 0.2, 0.1), (0.9, 0.05, 0.04),
+                                    (0.5, 0.3, 0.1), (0.999, 0.0, 0.0), (-0.2, -0.2, -0.2)])
+def test_fgm_density_minimum_is_least_corner(coeffs):
+    # the FGM density is linear in each of 1 - 2u, 1 - 2v and 1 - 2w, so its
+    # least value is at a vertex of the cube, which the grid holds
+    g12, g13, g23 = coeffs
+    corners = [1 + g12 * a * b + g13 * a * c + g23 * b * c for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    assert min_copula_density(SarmanovFGM(P1, P1, E1, *coeffs)) == min(corners)
+
+
+def test_density_minimum_detects_invalid_nested():
+    # the nested structure is a copula only for gamma <= 1
+    assert min_copula_density(NestedFrankProduct(P1, P1, E1, 1.5)) < 0.0
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
@@ -84,18 +117,18 @@ def test_cond_cdf_given_w_is_dC_dw(spec):
     # finite-difference check of dC/dw against the closed form
     eps = 1e-6
     for u, v, w in [(0.3, 0.7, 0.4), (0.9, 0.2, 0.8), (0.5, 0.5, 0.5)]:
-        fd = (spec.copula_cdf(u, v, w + eps) - spec.copula_cdf(u, v, w - eps)) / (2 * eps)
-        assert float(spec.cond_cdf_given_w(u, v, w)) == pytest.approx(float(fd), rel=2e-5)
+        fd = (copula_cdf(spec, u, v, w + eps) - copula_cdf(spec, u, v, w - eps)) / (2 * eps)
+        assert float(cond_cdf_given_w(spec, u, v, w)) == pytest.approx(float(fd), rel=2e-5)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
 def test_cond_cdf_given_vw_normalized(spec):
     for i in (1, 2):
-        assert float(spec.cond_cdf_given_vw(i, 1.0, 0.4, 0.6)) == pytest.approx(1.0, abs=1e-10)
-        assert float(spec.cond_cdf_given_vw(i, 0.0, 0.4, 0.6)) == pytest.approx(0.0, abs=1e-10)
+        assert float(cond_cdf_given_vw(spec, i, 1.0, 0.4, 0.6)) == pytest.approx(1.0, abs=1e-10)
+        assert float(cond_cdf_given_vw(spec, i, 0.0, 0.4, 0.6)) == pytest.approx(0.0, abs=1e-10)
         # monotone in u
         us = np.linspace(0, 1, 21)
-        vals = np.asarray(spec.cond_cdf_given_vw(i, us, 0.3, 0.7))
+        vals = np.asarray(cond_cdf_given_vw(spec, i, us, 0.3, 0.7))
         assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -109,20 +142,9 @@ def test_sampler_matches_copula_cdf(spec):
     u, v, w = sample_uvw(spec, rng, 200_000)
     for pt in [(0.3, 0.5, 0.7), (0.8, 0.8, 0.2), (0.5, 0.5, 0.5), (0.95, 0.99, 0.9)]:
         emp = np.mean((u <= pt[0]) & (v <= pt[1]) & (w <= pt[2]))
-        exact = float(spec.copula_cdf(*pt))
+        exact = float(copula_cdf(spec, *pt))
         se = math.sqrt(exact * (1 - exact) / u.size)
         assert abs(emp - exact) < 5 * se + 1e-4
-
-
-def test_frank_frailty_vs_conditional_sampler():
-    spec = FrankTri(P1, P1, E1, 1.5)
-    r1, r2 = np.random.default_rng(1), np.random.default_rng(2)
-    a = sample_uvw(spec, r1, 150_000)
-    b = spec.sample_uniform_conditional(r2, 150_000)
-    for pt in [(0.3, 0.5, 0.7), (0.7, 0.2, 0.9)]:
-        ea = np.mean((a[0] <= pt[0]) & (a[1] <= pt[1]) & (a[2] <= pt[2]))
-        eb = np.mean((b[0] <= pt[0]) & (b[1] <= pt[1]) & (b[2] <= pt[2]))
-        assert abs(ea - eb) < 6e-3
 
 
 def _frailty_pmf(gamma, kmax=10):
@@ -263,21 +285,21 @@ def test_conditional_window_probs_match_corner_differences(spec):
     w = spec.g_dist.cdf(s)
     u_lo, u_hi = spec.f1.cdf(2.0), spec.f1.cdf(3.5)
     v_lo, v_hi = spec.f2.cdf(1.0), spec.f2.cdf(3.0)
-    naive1 = spec.cond_cdf_given_w(u_hi, 1.0, w) - spec.cond_cdf_given_w(u_lo, 1.0, w)
+    naive1 = cond_cdf_given_w(spec, u_hi, 1.0, w) - cond_cdf_given_w(spec, u_lo, 1.0, w)
     assert float(spec.cond_local_prob_given_theta(1, win1, s)) == pytest.approx(
         float(naive1), rel=1e-9
     )
     naive12 = (
-        spec.cond_cdf_given_w(u_hi, v_hi, w)
-        - spec.cond_cdf_given_w(u_lo, v_hi, w)
-        - spec.cond_cdf_given_w(u_hi, v_lo, w)
-        + spec.cond_cdf_given_w(u_lo, v_lo, w)
+        cond_cdf_given_w(spec, u_hi, v_hi, w)
+        - cond_cdf_given_w(spec, u_lo, v_hi, w)
+        - cond_cdf_given_w(spec, u_hi, v_lo, w)
+        + cond_cdf_given_w(spec, u_lo, v_lo, w)
     )
     assert float(spec.cond_joint_local_prob_given_theta(win1, win2, s)) == pytest.approx(
         float(naive12), rel=1e-7, abs=1e-15
     )
     vz = spec.f2.cdf(z)
-    naive_o = spec.cond_cdf_given_vw(1, u_hi, vz, w) - spec.cond_cdf_given_vw(1, u_lo, vz, w)
+    naive_o = cond_cdf_given_vw(spec, 1, u_hi, vz, w) - cond_cdf_given_vw(spec, 1, u_lo, vz, w)
     assert float(spec.cond_local_prob_given_other(1, win1, z, s)) == pytest.approx(
         float(naive_o), rel=1e-7
     )
