@@ -192,8 +192,8 @@ def test_copula_check_takes_underflowed_probes_at_their_limit(tmp_path):
 
 
 def test_copula_check_reads_the_least_density(tmp_path):
-    # frank-tri at gamma = 20 is a valid copula whose 8-corner C-volumes read
-    # -2.8e-17; nested Frank at gamma = 1 has density 0 at the vertex (1, 1, 0)
+    # frank-tri at gamma = 20 is a valid copula whose least density is 1.7e-15;
+    # nested Frank at gamma = 1 has density 0 at the vertex (1, 1, 0)
     minima = []
     for dependence in ({"kind": "frank-tri", "gamma": 20.0}, {"kind": "nested-frank-product", "gamma": 1.0}):
         doc = make_doc("copula-check")
@@ -372,7 +372,7 @@ DETERMINISTIC_G = {"family": "deterministic", "value": 0.5}
         ("simulate", {}, "config.model.seed", ("--seed", "-1")),
         # a misspelt key is an error, not a silently kept default
         ("compare", {"n_path": 10}, "config.n_path", ()),
-        # copula-check reads the density on a fixed grid, with no random boxes to count
+        # copula-check reads the density on a fixed grid: a box count is an unknown field
         ("copula-check", {"n_boxes": 1000}, "config.n_boxes", ()),
         ("compare", {"model": {"rr": 0.5}}, "config.model.rr", ()),
         ("simulate", {"grids": {"t_grid": [0.5], "x_grid": [5.0], "dx": 1.0}}, "config.grids.dx", ()),
